@@ -66,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--init", choices=("planted", "random"))
     common.add_argument("--out", type=Path, help="output directory")
-    common.add_argument("--format", choices=("csv",), default="csv")
     common.add_argument("--bins", type=int)
     common.add_argument("--eta", type=float)
     common.add_argument("--grid-points", type=int)

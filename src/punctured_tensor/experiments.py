@@ -528,7 +528,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[list, bool]:
         )
     record("universality", worst, 1e-8)
 
-    # General bisection threshold vs the closed form (cubic setting).
+    # General edge-evaluated threshold vs the cubic closed form.
     worst = 0.0
     for eps in (0.25, 1.0):
         p = ModelParams(1 / 3, 1 / 3, 1 / 3, eps)

@@ -9,7 +9,7 @@ perturbation of a single noise entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -8,13 +8,26 @@ The coupled fixed point reads, for each mode l,
 with mbar = m1 + m2 + m3. It is solved by a damped iteration
 m_l <- -c_l / (z + eps * (mbar - m_l)); the damping tames oscillation near
 the support edge. The spike equation couples mbar on the real axis with the
-alignment limits q_l^2 = 1 - eps * m_l(sigma)^2 / c_l.
+alignment limits q_l^2 = 1 - eps * m_l(sigma)^2 / c_l:
+
+    F = sigma + eps * mbar(sigma) - eps * beta * q1 * q2 * q3 = 0.
+
+Right of the support edge everything is explicit in the branch parameter
+t = m1 in (t_edge, 0) (see the real-axis branch below). F crosses zero at
+most once along the branch and tends to +infinity as t -> 0-, so a spike
+exists exactly when F(t_edge) < 0. This gives the closed-form thresholds
+
+    beta_s = (edge + eps * mbar(edge)) / (eps * q1 * q2 * q3(edge)),
+    eps_s = (beta_s(eps = 1) / beta)^2   (dilation law),
+
+and one bracketed bisection in t for the spike itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +49,6 @@ class ModelParams:
     c3: float
     epsilon: float
     beta: float | None = None
-    d: int = 3
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3) <= 0:
@@ -234,21 +246,15 @@ def _branch_at(t: float, c, eps: float):
     return t, m2, m3, x
 
 
-_EDGE_CACHE: dict = {}
-
-
-def _edge_point(p: ModelParams):
-    """(edge abscissa, branch parameter t at the edge), cached."""
-    key = (p.c1, p.c2, p.c3, p.epsilon)
-    if key in _EDGE_CACHE:
-        return _EDGE_CACHE[key]
-    c, eps = p.ratios, p.epsilon
+@functools.lru_cache(maxsize=256)
+def _edge_point(c, eps: float):
+    """(edge abscissa, branch parameter t at the edge) for ratios c, cached."""
 
     def x_of(t):
         return _branch_at(t, c, eps)[3]
 
     # Coarse geometric scan for a bracket around the minimum of x(t).
-    scale = math.sqrt(p.c1 / eps)
+    scale = math.sqrt(c[0] / eps)
     ts = -scale * np.logspace(-4, 3, 400)
     xs = [x_of(float(t)) for t in ts]
     i = int(np.argmin(xs))
@@ -271,14 +277,12 @@ def _edge_point(p: ModelParams):
             x2 = a + inv_phi * (b - a)
             f2 = x_of(x2)
     t_edge = 0.5 * (a + b)
-    result = (x_of(t_edge), t_edge)
-    _EDGE_CACHE[key] = result
-    return result
+    return x_of(t_edge), t_edge
 
 
 def support_edge(p: ModelParams) -> float:
     """Right edge of the limiting support (beta plays no role)."""
-    return _edge_point(p)[0]
+    return _edge_point(p.ratios, p.epsilon)[0]
 
 
 def _branch_solution(p: ModelParams, t: float) -> StieltjesSolution:
@@ -302,7 +306,7 @@ def real_branch_stieltjes(x: float, p: ModelParams) -> StieltjesSolution:
     x = float(x)
     if x <= 0:
         raise ValueError("the real branch is evaluated right of the support, x > 0")
-    edge, t_edge = _edge_point(p)
+    edge, t_edge = _edge_point(p.ratios, p.epsilon)
     if x < edge:
         raise OutsideSupportError(f"x={x} lies inside the support (edge {edge})")
     # x(t) increases from the edge value to +infinity as t rises to 0-.
@@ -352,89 +356,44 @@ def _qs(sol: StieltjesSolution, p: ModelParams):
     )
 
 
-def _spike_objective(sigma, p, beta):
-    """F(sigma) = sigma + eps*mbar - eps*beta*q1*q2*q3 and the m values."""
-    sol = real_branch_stieltjes(sigma, p)
+def _spike_objective(t, p, beta):
+    """F(t) = x + eps*mbar - eps*beta*q1*q2*q3 on the branch, and the branch."""
+    sol = _branch_solution(p, t)
     q1, q2, q3 = _qs(sol, p)
-    F = sigma + p.epsilon * sol.mbar.real - p.epsilon * beta * q1 * q2 * q3
+    F = sol.z.real + p.epsilon * sol.mbar.real - p.epsilon * beta * q1 * q2 * q3
     return F, sol
 
 
 def solve_spike(p: ModelParams) -> SpikePrediction:
-    """Largest real root of the spike equation right of the support edge.
+    """Root of the spike equation right of the support edge.
 
-    Returns the infeasible marker (all q = 0) when no root exists, i.e.
-    beta is below the statistical threshold. Feasibility is decided at the
-    support edge itself: the root leaves the bulk through the edge, so F at
-    the edge is negative exactly when a root exists to its right (a guarded
-    interior-dip search covers any additional roots).
+    The spike equation F = 0 is solved on the branch parameter t = m1 in
+    (t_edge, 0), where x(t) and m_l(t) are explicit. F tends to +infinity as
+    t rises to 0- and crosses zero at most once on the branch (checked by a
+    property test over skewed ratios, small eps and beta around the
+    threshold), so a root exists exactly when F(t_edge) < 0, i.e. when beta
+    exceeds beta_threshold(p). It is then bisected on [t_edge, 0-) until the
+    midpoint stops moving. Below the threshold the infeasible marker (all
+    q = 0) is returned.
     """
     if p.beta is None:
         raise ValueError("solve_spike needs beta set on the parameters")
     beta = p.beta
-    if beta == 0.0:
+    lo, hi = _edge_point(p.ratios, p.epsilon)[1], 0.0
+    if _spike_objective(lo, p, beta)[0] >= 0.0:
         return INFEASIBLE
-    eps = p.epsilon
-    edge = support_edge(p)
-    hi = eps * beta + 3.0
-    # Make sure F is positive at the upper end (it tends to +infinity).
-    F_hi, _ = _spike_objective(hi, p, beta)
-    while F_hi <= 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise FixedPointError("spike bracket expansion failed")
-        F_hi, _ = _spike_objective(hi, p, beta)
-
-    F_edge, _ = _spike_objective(edge, p, beta)
-    n_scan = 256
-    xs = np.linspace(hi, edge, n_scan)
-    Fs = np.array([_spike_objective(float(x), p, beta)[0] for x in xs])
-
-    neg = np.where(Fs < 0.0)[0]
-    if neg.size:
-        i = int(neg[0])  # xs is descending: first negative = rightmost root side
-        s_neg, s_pos = float(xs[i]), float(xs[i - 1])
-    elif F_edge < 0.0:
-        s_neg, s_pos = edge, float(xs[-2])
-    else:
-        # No negative value anywhere on the grid or at the edge; scan for a
-        # dip narrower than the grid step before declaring infeasibility.
-        i = int(np.argmin(Fs))
-        a = float(xs[min(i + 1, xs.size - 1)])
-        b = float(xs[max(i - 1, 0)])
-        s_neg = None
-        for _ in range(200):
-            if b - a < 1e-13:
-                break
-            x1 = a + (b - a) / 3.0
-            x2 = b - (b - a) / 3.0
-            F1, _ = _spike_objective(x1, p, beta)
-            F2, _ = _spike_objective(x2, p, beta)
-            if min(F1, F2) < 0.0:
-                s_neg = x1 if F1 < F2 else x2
-                break
-            if F1 < F2:
-                b = x2
-            else:
-                a = x1
-        if s_neg is None:
-            return INFEASIBLE
-        s_pos = hi
-
-    # Bisect the rightmost sign change down to 1e-12.
-    a, b = s_neg, s_pos  # F(a) < 0 <= F(b), a < b
-    while b - a > 1e-12:
-        mid = 0.5 * (a + b)
-        F_mid, _ = _spike_objective(mid, p, beta)
-        if F_mid < 0.0:
-            a = mid
+    while True:  # F(lo) < 0 < F(hi); t = 0 itself is never evaluated
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _spike_objective(mid, p, beta)[0] < 0.0:
+            lo = mid
         else:
-            b = mid
-    sigma = 0.5 * (a + b)
-    F_val, sol = _spike_objective(sigma, p, beta)
+            hi = mid
+    F_val, sol = _spike_objective(mid, p, beta)
     q1, q2, q3 = _qs(sol, p)
     return SpikePrediction(
-        sigma,
+        sol.z.real,
         q1,
         q2,
         q3,
@@ -445,19 +404,18 @@ def solve_spike(p: ModelParams) -> SpikePrediction:
 
 
 def beta_threshold(p: ModelParams, tol: float = 1e-9) -> float:
-    """Smallest beta for which the spike equation has a root, by bisection."""
-    lo, hi = 1e-3, 1e3
-    if solve_spike(replace(p, beta=lo)).feasible:
-        return lo
-    if not solve_spike(replace(p, beta=hi)).feasible:
-        raise FixedPointError("beta threshold bracket failure")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if solve_spike(replace(p, beta=mid)).feasible:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """Smallest beta for which the spike equation has a root.
+
+    By the single crossing of F (see solve_spike) this is the beta that puts
+    the root on the support edge, F(t_edge) = 0:
+
+        beta_s = (edge + eps*mbar(edge)) / (eps * q1*q2*q3(edge)).
+
+    `tol` is accepted for compatibility and has no effect.
+    """
+    sol = _branch_solution(p, _edge_point(p.ratios, p.epsilon)[1])
+    q1, q2, q3 = _qs(sol, p)
+    return (sol.z.real + p.epsilon * sol.mbar.real) / (p.epsilon * q1 * q2 * q3)
 
 
 def beta_threshold_cubic(epsilon: float, d: int = 3) -> float:
@@ -478,29 +436,21 @@ def threshold_alignment_cubic(d: int = 3) -> float:
 
 def epsilon_threshold(beta: float, c, tol: float = 1e-6) -> float | None:
     """Smallest epsilon in (0, 1] with a feasible spike; None if even
-    epsilon = 1 is below the transition."""
+    epsilon = 1 is below the transition.
+
+    By the dilation law (eps, beta) ~ (1, sqrt(eps)*beta), the threshold is
+    (beta_s(eps=1) / beta)^2. `tol` is accepted for compatibility and has
+    no effect.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    c1, c2, c3 = c
-
-    def feasible(eps):
-        return solve_spike(ModelParams(c1, c2, c3, eps, beta=beta)).feasible
-
-    if not feasible(1.0):
+    beta_one = beta_threshold(ModelParams(*c, 1.0))
+    if beta <= beta_one:
         return None
-    lo, hi = 1e-6, 1.0
-    if feasible(lo):
-        return lo
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return (beta_one / beta) ** 2
 
 
 def universality_map(p: ModelParams) -> ModelParams:
     """Equivalent unpunctured parameters: epsilon' = 1, beta' = sqrt(eps)*beta."""
     beta = None if p.beta is None else math.sqrt(p.epsilon) * p.beta
-    return ModelParams(p.c1, p.c2, p.c3, 1.0, beta=beta, d=p.d)
+    return ModelParams(p.c1, p.c2, p.c3, 1.0, beta=beta)

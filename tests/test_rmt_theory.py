@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punctured_tensor import (
     ModelParams,
@@ -16,7 +18,11 @@ from punctured_tensor import (
     threshold_alignment_cubic,
     universality_map,
 )
-from punctured_tensor.rmt_theory import OutsideSupportError
+from punctured_tensor.rmt_theory import (
+    OutsideSupportError,
+    _edge_point,
+    _spike_objective,
+)
 
 CUBIC = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 SKEW = (0.1, 0.2, 0.7)
@@ -162,10 +168,27 @@ class TestSpike:
         assert abs(beta_threshold_cubic(1.0) - 2.0 / math.sqrt(3.0)) < 1e-14
         assert abs(beta_threshold_cubic(0.25) - 4.0 / math.sqrt(3.0)) < 1e-14
 
-    @pytest.mark.parametrize("eps", [0.1, 0.25, 0.5, 1.0])
-    def test_bisection_matches_closed_form(self, eps):
-        p = _params(CUBIC, eps)
-        assert abs(beta_threshold(p) - beta_threshold_cubic(eps)) <= 1e-6
+    @pytest.mark.parametrize(
+        "c, eps",
+        [pytest.param(CUBIC, eps, id=str(eps)) for eps in (0.1, 0.25, 0.5, 1.0)]
+        + [pytest.param(SKEW, eps, id=f"skew-{eps}") for eps in (0.25, 1.0)],
+    )
+    def test_bisection_matches_closed_form(self, c, eps):
+        # Reference: the cubic closed form at equal ratios, otherwise a
+        # bisection of beta on the feasibility that solve_spike reports.
+        p = _params(c, eps)
+        if c == CUBIC:
+            reference = beta_threshold_cubic(eps)
+        else:
+            lo, hi = 0.3, 30.0
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                if solve_spike(replace(p, beta=mid)).feasible:
+                    hi = mid
+                else:
+                    lo = mid
+            reference = 0.5 * (lo + hi)
+        assert abs(beta_threshold(p) - reference) <= 1e-6
 
     def test_spike_residual_and_growth(self):
         p = _params(SKEW, 0.4, beta=5.0)
@@ -205,6 +228,57 @@ class TestSpike:
     def test_requires_beta(self):
         with pytest.raises(ValueError):
             solve_spike(_params(CUBIC, 0.5))
+
+
+@st.composite
+def _ratios(draw):
+    """Mode ratios summing to 1, each at least 1e-3, in any order."""
+    c1 = draw(st.floats(1e-3, 1.0 - 2e-3))
+    c2 = draw(st.floats(1e-3, 1.0 - c1 - 1e-3))
+    return tuple(draw(st.permutations([c1, c2, 1.0 - c1 - c2])))
+
+
+_EPS = st.floats(0.01, 1.0)
+_BETA = st.floats(0.3, 30.0)
+_PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+class TestSpikeProperties:
+    """The spike and threshold solvers over the parameter box: c_min >= 1e-3,
+    eps in [0.01, 1] and beta in [0.3, 30]."""
+
+    @_PROPERTY
+    @given(c=_ratios(), eps=_EPS, beta=_BETA)
+    def test_single_crossing(self, c, eps, beta):
+        # F changes sign at most once along the branch: no interior dip can
+        # add roots that the edge test in solve_spike would miss.
+        p = _params(c, eps, beta=beta)
+        t_edge = _edge_point(p.ratios, p.epsilon)[1]
+        scale = np.concatenate(
+            [np.linspace(1.0, 1e-3, 1000), np.geomspace(1e-3, 1e-8, 100)[1:]]
+        )
+        F = np.array([_spike_objective(t_edge * s, p, beta)[0] for s in scale])
+        assert np.count_nonzero(np.diff(F < 0.0)) <= 1
+        assert F[-1] > 0.0
+        assert solve_spike(p).feasible == (beta > beta_threshold(p))
+
+    @_PROPERTY
+    @given(c=_ratios(), eps=_EPS)
+    def test_feasible_exactly_above_threshold(self, c, eps):
+        p = _params(c, eps)
+        beta_s = beta_threshold(p)
+        assert not solve_spike(replace(p, beta=beta_s * (1.0 - 1e-6))).feasible
+        above = solve_spike(replace(p, beta=beta_s * (1.0 + 1e-6)))
+        assert above.feasible
+        assert above.sigma_inf >= support_edge(p)
+
+    @_PROPERTY
+    @given(c=_ratios(), eps=_EPS)
+    def test_dilation_law(self, c, eps):
+        # beta_s(eps) * sqrt(eps) does not depend on eps.
+        unpunctured = beta_threshold(_params(c, 1.0))
+        punctured = beta_threshold(_params(c, eps)) * math.sqrt(eps)
+        assert abs(punctured - unpunctured) <= 1e-10 * unpunctured
 
 
 class TestUniversality:
