@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import experiments
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--beta", type=float)
     common.add_argument("--epsilon", type=float)
     common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int, dest="base_seed")
     common.add_argument("--init", choices=("planted", "random"))
     common.add_argument("--out", type=Path, help="output directory")
     common.add_argument("--bins", type=int)
@@ -81,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("spike-curve", parents=[common])
     pc.add_argument("--beta-grid", type=_parse_grid, help="start:stop:step or list")
-    pc.add_argument("--empirical", action="store_true")
+    pc.add_argument("--empirical", action="store_true", default=None)
 
     pe = sub.add_parser("epsilon-sweep", parents=[common])
     pe.add_argument("--epsilon-grid", type=_parse_grid, help="start:stop:step or list")
 
     pv = sub.add_parser("validate", parents=[common])
-    pv.add_argument("--perturb-sigma", type=float, default=0.0,
+    pv.add_argument("--perturb-sigma", type=float,
                     help="negative-control offset added to sigma in the "
                          "structural checks")
 
@@ -96,12 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = {
-    "shape", "ratios", "n_total", "beta", "epsilon", "beta_grid",
-    "epsilon_grid", "trials", "base_seed", "init", "out", "bins", "eta",
-    "grid_points", "tol", "max_iter", "empirical", "perturb_sigma",
-    "restarts", "scan_sweeps",
-}
+# Every config key is also the dest of the flag that sets it.
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_args(args) -> ExperimentConfig:
@@ -113,18 +110,9 @@ def config_from_args(args) -> ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_cfg)
-    for flag, key in [
-        ("shape", "shape"), ("ratios", "ratios"), ("n_total", "n_total"),
-        ("beta", "beta"), ("epsilon", "epsilon"), ("trials", "trials"),
-        ("seed", "base_seed"), ("init", "init"), ("out", "out"),
-        ("bins", "bins"), ("eta", "eta"), ("grid_points", "grid_points"),
-        ("tol", "tol"), ("max_iter", "max_iter"),
-        ("beta_grid", "beta_grid"), ("epsilon_grid", "epsilon_grid"),
-        ("empirical", "empirical"), ("perturb_sigma", "perturb_sigma"),
-        ("restarts", "restarts"), ("scan_sweeps", "scan_sweeps"),
-    ]:
-        val = getattr(args, flag, None)
-        if val is not None and not (flag == "empirical" and val is False):
+    for key in _CONFIG_KEYS:
+        val = getattr(args, key, None)
+        if val is not None:
             values[key] = val
     if "shape" in values and values["shape"] is not None:
         values["shape"] = Shape3(*values["shape"])

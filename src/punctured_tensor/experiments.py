@@ -41,6 +41,10 @@ class ValidationFailure(RuntimeError):
     """One or more checks of the validation suite failed."""
 
 
+# Noise-entry step of the central finite differences in the derivative check.
+FD_STEP = 1e-5
+
+
 @dataclass
 class ExperimentConfig:
     shape: Shape3 | None = None
@@ -365,7 +369,6 @@ def derivative_check_rows(
     epsilon: float,
     seed: int,
     n_entries: int,
-    h: float = 1e-5,
 ):
     """Shared implementation for the derivative check (CLI and validation).
 
@@ -403,10 +406,10 @@ def derivative_check_rows(
         bit = int(mask.bits[i, j, k])
         pred = phi_spectrum.predict_factor_derivative(phi, cp0, (i, j, k), bit)
         bump = np.zeros(shape.dims)
-        bump[i, j, k] = h
+        bump[i, j, k] = FD_STEP
         cp_plus, _ = solve_with(noise + bump, factors=base_factors)
         cp_minus, _ = solve_with(noise - bump, factors=base_factors)
-        fd = (cp_plus.stacked() - cp_minus.stacked()) / (2.0 * h)
+        fd = (cp_plus.stacked() - cp_minus.stacked()) / (2.0 * FD_STEP)
         denom = max(float(np.max(np.abs(fd))), 1e-300)
         rel = float(np.max(np.abs(pred - fd))) / denom if bit else float(
             np.max(np.abs(pred - fd))

@@ -28,6 +28,14 @@ class SingularResolventError(RuntimeError):
     """sigma is (numerically) an eigenvalue of Phi; the resolvent blows up."""
 
 
+# Eigenvalues below ZERO_TOL * max|lambda| count as zero (relative).
+ZERO_TOL = 1e-10
+# resolvent_solve refuses a sigma closer than GAP_TOL to an eigenvalue.
+GAP_TOL = 1e-8
+# Power iterations behind the operator-norm estimate of the spike residual.
+POWER_ITERS = 50
+
+
 @dataclass(frozen=True)
 class PhiMatrix:
     shape: Shape3
@@ -42,7 +50,6 @@ class PhiMatrix:
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray  # sorted descending
-    eigenvectors: np.ndarray | None  # columns, matching eigenvalue order
     zero_count: int
     zero_threshold: float
 
@@ -134,25 +141,17 @@ def build_phi0_streamed(
     return _assemble(shape, b12, b13, b23)
 
 
-def eigen_spectrum(
-    phi: PhiMatrix, want_vectors: bool = False, zero_tol: float = 1e-10
-) -> SpectrumResult:
-    """Full symmetric eigendecomposition, eigenvalues sorted descending.
+def eigen_spectrum(phi: PhiMatrix) -> SpectrumResult:
+    """All eigenvalues of Phi, sorted descending.
 
-    zero_tol is relative: eigenvalues below zero_tol * max|lambda| count as
-    zero (the degenerate subspace of the block structure).
+    Eigenvalues below ZERO_TOL * max|lambda| count as zero (the degenerate
+    subspace of the block structure).
     """
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(phi.matrix)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-    else:
-        vals = np.linalg.eigvalsh(phi.matrix)[::-1]
-        vecs = None
+    vals = np.linalg.eigvalsh(phi.matrix)[::-1]
     scale = float(np.max(np.abs(vals))) if vals.size else 1.0
-    threshold = zero_tol * max(scale, 1e-300)
+    threshold = ZERO_TOL * max(scale, 1e-300)
     zero_count = int(np.sum(np.abs(vals) < threshold))
-    return SpectrumResult(vals, vecs, zero_count, threshold)
+    return SpectrumResult(vals, zero_count, threshold)
 
 
 def check_structural_eigenpairs(
@@ -214,7 +213,6 @@ def spike_decomposition_residual(
     cp: CriticalPoint,
     phi0: PhiMatrix,
     epsilon: float,
-    power_iters: int = 50,
 ) -> float:
     """Operator-norm estimate of E = Phi - eps*beta*V S V^T - Phi0.
 
@@ -228,7 +226,7 @@ def spike_decomposition_residual(
     gen = np.random.default_rng(0)
     b = gen.standard_normal(E.shape[0])
     b /= np.linalg.norm(b)
-    for _ in range(power_iters):
+    for _ in range(POWER_ITERS):
         b = E.T @ (E @ b)
         n = np.linalg.norm(b)
         if n == 0.0:
@@ -237,17 +235,17 @@ def spike_decomposition_residual(
     return float(np.linalg.norm(E @ b))
 
 
-def resolvent_solve(phi: PhiMatrix, sigma: float, rhs, gap_tol: float = 1e-8):
+def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
     """Solve (Phi - sigma I) q = rhs by a direct dense solve.
 
-    Refuses when sigma sits within gap_tol of an eigenvalue.
+    Refuses when sigma sits within GAP_TOL of an eigenvalue.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != phi.shape.N:
         raise DimensionMismatchError("right-hand side length does not match N")
     vals = np.linalg.eigvalsh(phi.matrix)
     gap = float(np.min(np.abs(vals - sigma)))
-    if gap <= gap_tol:
+    if gap <= GAP_TOL:
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue"
         )

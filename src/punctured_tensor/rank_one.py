@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (
-    DimensionMismatchError,
-    RngSeed,
-    SignalTriple,
-    Tensor3,
-)
+from .tensor_core import DimensionMismatchError, SignalTriple, Tensor3
 
 
 class ConvergenceError(RuntimeError):
@@ -51,17 +46,16 @@ class CriticalPoint:
 class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 10_000
-    init: str = "planted"  # "planted" | "random" | "supplied"
+    init: str = "planted"  # "planted" | "supplied"
     factors: tuple | None = None  # (u0, v0, w0) for init="supplied"
     reference: SignalTriple | None = None  # planted start / sign convention
-    check_monotone: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.init not in ("planted", "random", "supplied"):
+        if self.init not in ("planted", "supplied"):
             raise ValueError(f"unknown init policy {self.init!r}")
 
 
@@ -82,32 +76,27 @@ def _residual_max(A, A2, sigma, u, v, w):
     return max(r1, r2, r3)
 
 
-def _initial_factors(tm: Tensor3, cfg: SolverConfig, rng: RngSeed | None):
+def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     n1, n2, n3 = tm.shape.dims
     if cfg.init == "planted":
         if cfg.reference is None:
             raise ValueError("planted init requires cfg.reference")
         cfg.reference.check_shape(tm.shape)
         return (cfg.reference.x.copy(), cfg.reference.y.copy(), cfg.reference.z.copy())
-    if cfg.init == "supplied":
-        if cfg.factors is None:
-            raise ValueError("supplied init requires cfg.factors")
-        u0, v0, w0 = cfg.factors
-        u0, v0, w0 = (np.asarray(f, dtype=np.float64) for f in (u0, v0, w0))
-        if u0.shape != (n1,) or v0.shape != (n2,) or w0.shape != (n3,):
-            raise DimensionMismatchError("supplied factors do not match the shape")
-        return tuple(f / np.linalg.norm(f) for f in (u0, v0, w0))
-    if rng is None:
-        raise ValueError("random init requires an RngSeed")
-    gen = rng.generator()
-    vecs = [gen.standard_normal(n) for n in (n1, n2, n3)]
-    return tuple(f / np.linalg.norm(f) for f in vecs)
+    if cfg.factors is None:
+        raise ValueError("supplied init requires cfg.factors")
+    u0, v0, w0 = cfg.factors
+    u0, v0, w0 = (np.asarray(f, dtype=np.float64) for f in (u0, v0, w0))
+    if u0.shape != (n1,) or v0.shape != (n2,) or w0.shape != (n3,):
+        raise DimensionMismatchError("supplied factors do not match the shape")
+    return tuple(f / np.linalg.norm(f) for f in (u0, v0, w0))
 
 
-def solve_critical_point(
-    tm: Tensor3, cfg: SolverConfig | None = None, rng: RngSeed | None = None
-) -> CriticalPoint:
+def solve_critical_point(tm: Tensor3, cfg: SolverConfig | None = None) -> CriticalPoint:
     """Run the cyclic power iteration on an (already masked) tensor.
+
+    Starts from the planted signal (init="planted") or from caller-drawn
+    factors (init="supplied"); random starts are drawn by the caller.
 
     Raises ConvergenceError if the residual is still above cfg.tol after
     cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes.
@@ -116,7 +105,7 @@ def solve_critical_point(
     A = tm.values
     n1, n2, n3 = tm.shape.dims
     A2 = A.reshape(n1, n2 * n3)
-    u, v, w = _initial_factors(tm, cfg, rng)
+    u, v, w = _initial_factors(tm, cfg)
 
     # Slack for the monotone-objective assertion grows with the number of
     # terms accumulated per contraction (floating-point summation noise).
@@ -131,7 +120,7 @@ def solve_critical_point(
         M1 = (u @ A2).reshape(n2, n3)
         w, sigma = _normalize(M1.T @ v, "w")
 
-        if cfg.check_monotone and sigma < sigma_prev - mono_slack * max(1.0, sigma):
+        if sigma < sigma_prev - mono_slack * max(1.0, sigma):
             raise ConvergenceError(
                 f"objective decreased at iteration {it}: {sigma_prev} -> {sigma}"
             )

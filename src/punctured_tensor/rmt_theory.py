@@ -109,8 +109,14 @@ class SpikePrediction:
 
 INFEASIBLE = SpikePrediction(math.nan, 0.0, 0.0, 0.0, None, False)
 
+# Fixed-point controls: relaxation weight of each update, step size that
+# counts as converged, and the iteration budget per stage.
+DAMPING = 0.5
+TOL = 1e-13
+MAX_ITER = 100_000
 
-def _newton_polish(z, c, eps, m, tol):
+
+def _newton_polish(z, c, eps, m):
     """Newton steps on the coupled system from a warm start.
 
     Returns the refined triple or None when Newton strays (diverges or
@@ -130,7 +136,7 @@ def _newton_polish(z, c, eps, m, tol):
         m = m - step
         if not np.all(np.isfinite(m.view(float))) or np.max(np.abs(m)) > 1e14:
             return None
-        if np.max(np.abs(step)) < 0.1 * tol:
+        if np.max(np.abs(step)) < 0.1 * TOL:
             break
     if np.any(sign * m.imag < 0):
         return None
@@ -140,7 +146,7 @@ def _newton_polish(z, c, eps, m, tol):
     return tuple(m)
 
 
-def _fixed_point(z, c, eps, init, damping, tol, max_iter):
+def _fixed_point(z, c, eps, init):
     """Damped scalar iteration; returns (m1, m2, m3, residual).
 
     Near an atom of the limit the plain iteration contracts at a rate
@@ -152,10 +158,10 @@ def _fixed_point(z, c, eps, init, damping, tol, max_iter):
         m1, m2, m3 = -c1 / z, -c2 / z, -c3 / z
     else:
         m1, m2, m3 = init
-    g = damping
-    h = 1.0 - damping
+    g = DAMPING
+    h = 1.0 - DAMPING
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         mbar = m1 + m2 + m3
         try:
             n1 = -c1 / (z + eps * (mbar - m1))
@@ -170,11 +176,11 @@ def _fixed_point(z, c, eps, init, damping, tol, max_iter):
         m1, m2, m3 = n1, n2, n3
         if not (abs(m1) < 1e12):
             raise FixedPointError(f"iteration diverged at z={z}")
-        if delta < tol:
+        if delta < TOL:
             converged = True
             break
         if it % 200 == 0:
-            polished = _newton_polish(z, c, eps, (m1, m2, m3), tol)
+            polished = _newton_polish(z, c, eps, (m1, m2, m3))
             if polished is not None:
                 m1, m2, m3 = polished
                 converged = True
@@ -192,15 +198,14 @@ def _fixed_point(z, c, eps, init, damping, tol, max_iter):
     return m1, m2, m3, residual
 
 
-def solve_stieltjes(
-    z: complex,
-    p: ModelParams,
-    init=None,
-    damping: float = 0.5,
-    tol: float = 1e-13,
-    max_iter: int = 100_000,
-) -> StieltjesSolution:
-    """Solve the coupled fixed point at a complex point z (Im z != 0)."""
+def solve_stieltjes(z: complex, p: ModelParams, init=None) -> StieltjesSolution:
+    """Solve the coupled fixed point at a complex point z (Im z != 0).
+
+    `init` warm-starts the iteration from a nearby solution's (m1, m2, m3).
+    The damping, step tolerance and iteration budget are the module
+    constants DAMPING, TOL and MAX_ITER; FixedPointError is raised when a
+    stage diverges or does not converge within MAX_ITER steps.
+    """
     z = complex(z)
     if z.imag == 0.0:
         raise ValueError("use real_branch_stieltjes on the real axis")
@@ -212,13 +217,9 @@ def solve_stieltjes(
         eta = 1.0 if z.imag > 0 else -1.0
         while abs(eta) > abs(z.imag) * 1.999:
             stage = complex(z.real, eta)
-            init = _fixed_point(
-                stage, p.ratios, p.epsilon, init, damping, tol, max_iter
-            )[:3]
+            init = _fixed_point(stage, p.ratios, p.epsilon, init)[:3]
             eta *= 0.5
-    m1, m2, m3, res = _fixed_point(
-        z, p.ratios, p.epsilon, init, damping, tol, max_iter
-    )
+    m1, m2, m3, res = _fixed_point(z, p.ratios, p.epsilon, init)
     return StieltjesSolution(z, m1, m2, m3, res)
 
 
@@ -240,8 +241,13 @@ def _branch_at(t: float, c, eps: float):
     """(m1, m2, m3, x) on the decaying real branch parametrized by m1 = t < 0."""
     c1, c2, c3 = c
     A = eps * t - c1 / t
-    m2 = (A - math.sqrt(A * A + 4.0 * eps * c2)) / (2.0 * eps)
-    m3 = (A - math.sqrt(A * A + 4.0 * eps * c3)) / (2.0 * eps)
+    s2 = math.sqrt(A * A + 4.0 * eps * c2)
+    s3 = math.sqrt(A * A + 4.0 * eps * c3)
+    if A > 0:
+        # (A - s) / (2 eps) would subtract nearly equal numbers here.
+        m2, m3 = -2.0 * c2 / (A + s2), -2.0 * c3 / (A + s3)
+    else:
+        m2, m3 = (A - s2) / (2.0 * eps), (A - s3) / (2.0 * eps)
     x = -c1 / t - eps * (m2 + m3)
     return t, m2, m3, x
 
@@ -418,20 +424,21 @@ def beta_threshold(p: ModelParams, tol: float = 1e-9) -> float:
     return (sol.z.real + p.epsilon * sol.mbar.real) / (p.epsilon * q1 * q2 * q3)
 
 
-def beta_threshold_cubic(epsilon: float, d: int = 3) -> float:
+# Tensor order d of the equal-ratio closed forms below.
+_D = 3
+
+
+def beta_threshold_cubic(epsilon: float) -> float:
     """Closed-form statistical threshold in the equal-ratio setting."""
-    if d < 3:
-        raise ValueError("the closed form requires tensor order d >= 3")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0, 1]")
+    d = _D
     return math.sqrt((d - 1) / (epsilon * d)) * ((d - 1) / (d - 2)) ** ((d - 2) / 2.0)
 
 
-def threshold_alignment_cubic(d: int = 3) -> float:
+def threshold_alignment_cubic() -> float:
     """Alignment limit right after the transition; independent of epsilon."""
-    if d < 3:
-        raise ValueError("the closed form requires tensor order d >= 3")
-    return math.sqrt((d - 2) / (d - 1))
+    return math.sqrt((_D - 2) / (_D - 1))
 
 
 def epsilon_threshold(beta: float, c, tol: float = 1e-6) -> float | None:

@@ -1,19 +1,14 @@
 """Dense order-3 tensors: spiked-model sampling, Bernoulli masks and contractions.
 
 Entries of a tensor with dimensions (n1, n2, n3) are stored in C order,
-i.e. the third index k runs fastest, then j, then i. Binary dumps use the
-same linear order so golden files are portable.
+i.e. the third index k runs fastest, then j, then i.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-TENSOR_MAGIC = 0x54334E53
-MASK_MAGIC = 0x4D334E53
 
 
 class DimensionMismatchError(ValueError):
@@ -254,36 +249,3 @@ def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
         return A @ p
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
-
-def write_tensor(t: Tensor3, path):
-    """Binary dump: little-endian u32 magic + u32 dims, then float64 entries."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<IIII", TENSOR_MAGIC, *t.shape.dims))
-        fh.write(t.values.astype("<f8").tobytes(order="C"))
-
-
-def read_tensor(path) -> Tensor3:
-    with open(path, "rb") as fh:
-        magic, n1, n2, n3 = struct.unpack("<IIII", fh.read(16))
-        if magic != TENSOR_MAGIC:
-            raise ValueError(f"bad tensor magic {magic:#x}")
-        data = np.frombuffer(fh.read(8 * n1 * n2 * n3), dtype="<f8")
-    return Tensor3(data.reshape(n1, n2, n3).copy())
-
-
-def write_mask(m: MaskTensor, path):
-    """Same container as tensors but 1-byte entries and the mask magic."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<IIII", MASK_MAGIC, *m.shape.dims))
-        fh.write(m.bits.tobytes(order="C"))
-        fh.write(struct.pack("<d", m.epsilon))
-
-
-def read_mask(path) -> MaskTensor:
-    with open(path, "rb") as fh:
-        magic, n1, n2, n3 = struct.unpack("<IIII", fh.read(16))
-        if magic != MASK_MAGIC:
-            raise ValueError(f"bad mask magic {magic:#x}")
-        bits = np.frombuffer(fh.read(n1 * n2 * n3), dtype=np.uint8)
-        (epsilon,) = struct.unpack("<d", fh.read(8))
-    return MaskTensor(bits.reshape(n1, n2, n3).copy(), epsilon)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from punctured_tensor import Shape3
-from punctured_tensor.cli import main
+from punctured_tensor.cli import build_parser, config_from_args, main
 from punctured_tensor.experiments import (
     ExperimentConfig,
     aggregate,
@@ -263,6 +263,22 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "run" / "eigenvalues.csv").exists()
+
+    def test_config_file_value_kept_without_flag(self, tmp_path, capsys):
+        # A flag that is not given must not overwrite the file's value.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"perturb_sigma": 1e-3}))
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert main(
+            ["validate", "--config", str(cfg_path), "--perturb-sigma", "0"]
+        ) == 0
+        cfg_path.write_text(json.dumps({"empirical": True}))
+        args = build_parser().parse_args(
+            ["spike-curve", "--config", str(cfg_path), "--seed", "7"]
+        )
+        cfg = config_from_args(args)
+        assert cfg.empirical is True
+        assert cfg.base_seed == 7
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

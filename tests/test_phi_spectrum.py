@@ -123,11 +123,13 @@ class TestEigenSpectrum:
         tm = Tensor3(rng.standard_normal(sh.dims))
         u, v, w = (rng.standard_normal(n) for n in sh.dims)
         phi = build_phi(tm, u, v, w)
-        spec = eigen_spectrum(phi, want_vectors=True)
+        spec = eigen_spectrum(phi)
         assert np.all(np.diff(spec.eigenvalues) <= 0)
+        # eigh sorts ascending: descending index idx pairs with column -1 - idx.
+        vecs = np.linalg.eigh(phi.matrix)[1]
         for idx in (0, 7, 14):
             lam = spec.eigenvalues[idx]
-            vec = spec.eigenvectors[:, idx]
+            vec = vecs[:, -1 - idx]
             assert np.linalg.norm(phi.matrix @ vec - lam * vec) < 1e-10
 
     def test_zero_count_block_rank_deficiency(self, rng):

@@ -44,8 +44,10 @@ class TestExactRankOne:
         sh = Shape3(6, 7, 8)
         sig = SignalTriple.random(sh, 2.0, RngSeed(5))
         t = generate_spiked(sh, sig, RngSeed(0), noise=np.zeros(sh.dims))
+        gen = RngSeed(6).generator()
+        start = tuple(gen.standard_normal(n) for n in sh.dims)
         cp = solve_critical_point(
-            t, SolverConfig(init="random", reference=sig), rng=RngSeed(6)
+            t, SolverConfig(init="supplied", factors=start, reference=sig)
         )
         al = alignments(cp, sig)
         assert min(al) > 1.0 - 1e-10

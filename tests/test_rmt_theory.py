@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from punctured_tensor import (
     ModelParams,
@@ -119,6 +119,14 @@ class TestRealBranch:
         sol = real_branch_stieltjes(100.0, p)
         for m, cl in zip(sol.values, CUBIC):
             assert abs(m.real + cl / 100.0) < 1e-4
+
+    @pytest.mark.parametrize("x", [10.0, 100.0, 1e4])
+    def test_equal_ratios_give_equal_values(self, x):
+        # Far right of the support the minus root of the branch quadratic
+        # must not cancel: equal ratios give m1 == m2 == m3 up to rounding.
+        sol = real_branch_stieltjes(x, _params(CUBIC, 0.3))
+        for m in (sol.m2, sol.m3):
+            assert abs(m - sol.m1) <= 4.0 * np.finfo(float).eps * abs(sol.m1)
 
 
 class TestLimitingDensity:
@@ -279,6 +287,43 @@ class TestSpikeProperties:
         unpunctured = beta_threshold(_params(c, 1.0))
         punctured = beta_threshold(_params(c, eps)) * math.sqrt(eps)
         assert abs(punctured - unpunctured) <= 1e-10 * unpunctured
+
+
+_STIELTJES_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+class TestStieltjesProperties:
+    """The fixed point at its constant damping, tolerance and iteration
+    budget over the box c_min >= 1e-3, eps in [0.01, 1], x in [-3, 3] and
+    Im z in [1e-6, 1]."""
+
+    @_STIELTJES_PROPERTY
+    @given(
+        c=_ratios(),
+        eps=_EPS,
+        x=st.floats(-3.0, 3.0),
+        log_eta=st.floats(-6.0, 0.0),
+    )
+    @example(c=(0.375, 0.03125, 0.59375), eps=0.5, x=0.0, log_eta=-3.0)
+    def test_residual_and_herglotz_sign(self, c, eps, x, log_eta):
+        sol = solve_stieltjes(complex(x, 10.0 ** log_eta), _params(c, eps))
+        # Evaluating mbar - m_l rounds at u * |mbar|, so the residual has a
+        # floor of about u * eps * |m_l| * |mbar|. It matters only near the
+        # atom at 0 (c_max > 1/2), where |m_l| grows like 1 / Im z.
+        big = max(abs(m) for m in sol.values)
+        floor = 8.0 * np.finfo(float).eps * eps * big * abs(sol.mbar)
+        assert _residual_by_substitution(sol, c, eps) <= 1e-12 + floor
+        assert all(m.imag > 0 for m in sol.values)
+
+    @_STIELTJES_PROPERTY
+    @given(c=_ratios(), eps=_EPS, gap=st.floats(1e-3, 3.0))
+    def test_real_branch_is_complex_limit(self, c, eps, gap):
+        p = _params(c, eps)
+        x = support_edge(p) + gap
+        real_sol = real_branch_stieltjes(x, p)
+        cplx = solve_stieltjes(complex(x, 1e-9), p)
+        for a, b in zip(real_sol.values, cplx.values):
+            assert abs(a.real - b.real) <= 1e-8 * abs(a.real)
 
 
 class TestUniversality:

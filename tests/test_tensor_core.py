@@ -14,13 +14,7 @@ from punctured_tensor import (
     hadamard,
     sample_mask,
 )
-from punctured_tensor.tensor_core import (
-    DimensionMismatchError,
-    read_mask,
-    read_tensor,
-    write_mask,
-    write_tensor,
-)
+from punctured_tensor.tensor_core import DimensionMismatchError
 
 from conftest import triple_loop_full, triple_loop_mode, triple_loop_one
 
@@ -203,31 +197,6 @@ class TestContractions:
             contract_full(t, np.zeros(2), np.zeros(4), np.zeros(5))
         with pytest.raises(ValueError):
             contract_mode(t, 4, np.zeros(4), np.zeros(5))
-
-
-class TestBinaryDumps:
-    def test_tensor_roundtrip(self, tmp_path, rng):
-        t = Tensor3(rng.standard_normal((3, 4, 5)))
-        path = tmp_path / "t.bin"
-        write_tensor(t, path)
-        back = read_tensor(path)
-        assert back.shape == t.shape
-        assert np.array_equal(back.values, t.values)
-
-    def test_mask_roundtrip(self, tmp_path):
-        m = sample_mask(Shape3(4, 5, 6), 0.4, RngSeed(8))
-        path = tmp_path / "m.bin"
-        write_mask(m, path)
-        back = read_mask(path)
-        assert back.epsilon == m.epsilon
-        assert np.array_equal(back.bits, m.bits)
-
-    def test_magic_mismatch(self, tmp_path, rng):
-        t = Tensor3(rng.standard_normal((2, 2, 2)))
-        path = tmp_path / "t.bin"
-        write_tensor(t, path)
-        with pytest.raises(ValueError, match="magic"):
-            read_mask(path)
 
 
 class TestSignalTriple:
