@@ -3,11 +3,13 @@ equations and phase-transition thresholds.
 
 The coupled fixed point reads, for each mode l,
 
-    eps * m_l(z) * (mbar(z) - m_l(z)) + z * m_l(z) + c_l = 0,
+    eps * m_l(z) * o_l(z) + z * m_l(z) + c_l = 0,
 
-with mbar = m1 + m2 + m3. It is solved by a damped iteration
-m_l <- -c_l / (z + eps * (mbar - m_l)); the damping tames oscillation near
-the support edge. The spike equation couples mbar on the real axis with the
+with o_l = mbar - m_l the sum of the other two modes and mbar = m1 + m2 + m3.
+It is solved by Newton's method, whose Jacobian is diagonal plus rank one
+and so is inverted in closed form. Summing o_l directly keeps the solve
+accurate next to the atom at 0 (one ratio above 1/2), where one m_l grows
+like 1 / Im z. The spike equation couples mbar on the real axis with the
 alignment limits q_l^2 = 1 - eps * m_l(sigma)^2 / c_l:
 
     F = sigma + eps * mbar(sigma) - eps * beta * q1 * q2 * q3 = 0.
@@ -27,15 +29,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class FixedPointError(RuntimeError):
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """Newton found no Herglotz solution of the Stieltjes fixed point."""
 
 
 class OutsideSupportError(RuntimeError):
@@ -109,118 +110,94 @@ class SpikePrediction:
 
 INFEASIBLE = SpikePrediction(math.nan, 0.0, 0.0, 0.0, None, False)
 
-# Fixed-point controls: relaxation weight of each update, step size that
-# counts as converged, and the iteration budget per stage.
-DAMPING = 0.5
-TOL = 1e-13
-MAX_ITER = 100_000
+def _residual(z, c, eps, m):
+    """Largest |eps*m_l*o_l + z*m_l + c_l|, o_l the sum of the other modes.
 
-
-def _newton_polish(z, c, eps, m):
-    """Newton steps on the coupled system from a warm start.
-
-    Returns the refined triple or None when Newton strays (diverges or
-    leaves the Herglotz branch sign(Im m) == sign(Im z))."""
-    m = np.asarray(m, dtype=complex)
-    c_arr = np.asarray(c, dtype=float)
-    sign = 1.0 if z.imag > 0 else -1.0
-    for _ in range(60):
-        mbar = m.sum()
-        G = eps * m * (mbar - m) + z * m + c_arr
-        J = eps * np.outer(m, np.ones(3))
-        J[np.diag_indices(3)] = eps * (mbar - m) + z
-        try:
-            step = np.linalg.solve(J, G)
-        except np.linalg.LinAlgError:
-            return None
-        m = m - step
-        if not np.all(np.isfinite(m.view(float))) or np.max(np.abs(m)) > 1e14:
-            return None
-        if np.max(np.abs(step)) < 0.1 * TOL:
-            break
-    if np.any(sign * m.imag < 0):
-        return None
-    mbar = m.sum()
-    if np.max(np.abs(eps * m * (mbar - m) + z * m + c_arr)) > 1e-11:
-        return None
-    return tuple(m)
-
-
-def _fixed_point(z, c, eps, init):
-    """Damped scalar iteration; returns (m1, m2, m3, residual).
-
-    Near an atom of the limit the plain iteration contracts at a rate
-    1 - O(|Im z|^(1/2)); a periodic Newton polish (branch-guarded, accepted
-    only when it lands on the Herglotz solution) removes that slowdown.
-    """
+    Summing the other two modes directly, instead of forming mbar - m_l,
+    keeps the residual exact next to the atom at 0, where one m_l grows
+    like 1 / Im z while the others stay small."""
+    m1, m2, m3 = m
     c1, c2, c3 = c
-    if init is None:
-        m1, m2, m3 = -c1 / z, -c2 / z, -c3 / z
-    else:
-        m1, m2, m3 = init
-    g = DAMPING
-    h = 1.0 - DAMPING
-    converged = False
-    for it in range(1, MAX_ITER + 1):
-        mbar = m1 + m2 + m3
-        try:
-            n1 = -c1 / (z + eps * (mbar - m1))
-            n2 = -c2 / (z + eps * (mbar - m2))
-            n3 = -c3 / (z + eps * (mbar - m3))
-        except ZeroDivisionError:
-            raise FixedPointError(f"division by zero in fixed point at z={z}")
-        n1 = h * m1 + g * n1
-        n2 = h * m2 + g * n2
-        n3 = h * m3 + g * n3
-        delta = max(abs(n1 - m1), abs(n2 - m2), abs(n3 - m3))
-        m1, m2, m3 = n1, n2, n3
-        if not (abs(m1) < 1e12):
-            raise FixedPointError(f"iteration diverged at z={z}")
-        if delta < TOL:
-            converged = True
-            break
-        if it % 200 == 0:
-            polished = _newton_polish(z, c, eps, (m1, m2, m3))
-            if polished is not None:
-                m1, m2, m3 = polished
-                converged = True
-                break
-    if not converged:
-        raise FixedPointError(
-            f"no fixed-point convergence at z={z}", residual=delta
-        )
-    mbar = m1 + m2 + m3
-    residual = max(
-        abs(eps * m1 * (mbar - m1) + z * m1 + c1),
-        abs(eps * m2 * (mbar - m2) + z * m2 + c2),
-        abs(eps * m3 * (mbar - m3) + z * m3 + c3),
+    return max(
+        abs(eps * m1 * (m2 + m3) + z * m1 + c1),
+        abs(eps * m2 * (m1 + m3) + z * m2 + c2),
+        abs(eps * m3 * (m1 + m2) + z * m3 + c3),
     )
-    return m1, m2, m3, residual
+
+
+def _newton(z, c, eps, m):
+    """Newton's method on the coupled system from the start m = (m1, m2, m3).
+
+    With e_l = eps*o_l + z, equation l reads m_l*e_l + c_l = 0 and the
+    Jacobian is diag(d) + eps*m*1^T with d_l = e_l - eps*m_l, so each step
+    is a closed-form Sherman-Morrison solve. Stops on a step of a few ulps
+    of max|m_l| or after 60 steps. Returns the StieltjesSolution, or None on
+    a zero divisor, divergence, the wrong Herglotz sign (sign(Im m_l) !=
+    sign(Im z)) or a residual above 1e-11."""
+    c1, c2, c3 = c
+    m1, m2, m3 = m
+    for _ in range(60):
+        e1, e2, e3 = eps * (m2 + m3) + z, eps * (m1 + m3) + z, eps * (m1 + m2) + z
+        d1, d2, d3 = e1 - eps * m1, e2 - eps * m2, e3 - eps * m3
+        try:
+            y1, y2, y3 = (m1 * e1 + c1) / d1, (m2 * e2 + c2) / d2, (m3 * e3 + c3) / d3
+            w1, w2, w3 = eps * m1 / d1, eps * m2 / d2, eps * m3 / d3
+            # The divisor 1 + w1 + w2 + w3 nearly cancels next to the atom
+            # at 0, where one w_l tends to -1: add the largest w_l as
+            # 1 + w_l = e_l / d_l instead.
+            a1, a2, a3 = abs(w1), abs(w2), abs(w3)
+            if a1 >= a2 and a1 >= a3:
+                k = (y1 + y2 + y3) / (e1 / d1 + w2 + w3)
+            elif a2 >= a3:
+                k = (y1 + y2 + y3) / (w1 + e2 / d2 + w3)
+            else:
+                k = (y1 + y2 + y3) / (w1 + w2 + e3 / d3)
+        except ZeroDivisionError:
+            return None
+        s1, s2, s3 = y1 - w1 * k, y2 - w2 * k, y3 - w3 * k
+        m1, m2, m3 = m1 - s1, m2 - s2, m3 - s3
+        big = max(abs(m1), abs(m2), abs(m3))
+        if not math.isfinite(big):
+            return None
+        if max(abs(s1), abs(s2), abs(s3)) <= 4.0 * sys.float_info.epsilon * big:
+            break
+    m = (m1, m2, m3)
+    if any(ml.imag * z.imag < 0.0 for ml in m):
+        return None
+    residual = _residual(z, c, eps, m)
+    if not residual <= 1e-11:
+        return None
+    return StieltjesSolution(z, *m, residual)
 
 
 def solve_stieltjes(z: complex, p: ModelParams, init=None) -> StieltjesSolution:
     """Solve the coupled fixed point at a complex point z (Im z != 0).
 
-    `init` warm-starts the iteration from a nearby solution's (m1, m2, m3).
-    The damping, step tolerance and iteration budget are the module
-    constants DAMPING, TOL and MAX_ITER; FixedPointError is raised when a
-    stage diverges or does not converge within MAX_ITER steps.
+    Newton starts from `init`, a nearby solution's (m1, m2, m3). Without
+    `init`, or when Newton fails from it, a continuation in Im z runs
+    instead: start from -c/z' at Im z' = +-max(1, |Im z|), where that start
+    is close, and halve Im z' down to Im z with one Newton solve per stage.
+    FixedPointError is raised when a stage fails.
     """
     z = complex(z)
     if z.imag == 0.0:
         raise ValueError("use real_branch_stieltjes on the real axis")
-    if init is None and abs(z.imag) < 0.1:
-        # Cold starts at -c/z are far off when |Im z| is tiny (near an atom
-        # of the limit the iteration then relaxes over ~1/|Im z| steps).
-        # Continuation: solve high above the axis first and halve Im z,
-        # warm-starting each stage.
-        eta = 1.0 if z.imag > 0 else -1.0
-        while abs(eta) > abs(z.imag) * 1.999:
-            stage = complex(z.real, eta)
-            init = _fixed_point(stage, p.ratios, p.epsilon, init)[:3]
-            eta *= 0.5
-    m1, m2, m3, res = _fixed_point(z, p.ratios, p.epsilon, init)
-    return StieltjesSolution(z, m1, m2, m3, res)
+    # Python scalars throughout, so that a zero divisor raises in _newton.
+    c, eps = tuple(map(float, p.ratios)), float(p.epsilon)
+    sol = None if init is None else _newton(z, c, eps, tuple(map(complex, init)))
+    if sol is not None:
+        return sol
+    eta = math.copysign(max(1.0, abs(z.imag)), z.imag)
+    m = tuple(-cl / complex(z.real, eta) for cl in c)
+    while True:
+        stage = complex(z.real, eta) if abs(eta) > 1.999 * abs(z.imag) else z
+        sol = _newton(stage, c, eps, m)
+        if sol is None:
+            raise FixedPointError(f"no Newton convergence at z={stage}")
+        if stage == z:
+            return sol
+        m = sol.values
+        eta *= 0.5
 
 
 # --- Real-axis branch -------------------------------------------------------
@@ -292,16 +269,8 @@ def support_edge(p: ModelParams) -> float:
 
 
 def _branch_solution(p: ModelParams, t: float) -> StieltjesSolution:
-    c1, c2, c3 = p.ratios
-    eps = p.epsilon
-    m1, m2, m3, x = _branch_at(t, p.ratios, eps)
-    mbar = m1 + m2 + m3
-    residual = max(
-        abs(eps * m1 * (mbar - m1) + x * m1 + c1),
-        abs(eps * m2 * (mbar - m2) + x * m2 + c2),
-        abs(eps * m3 * (mbar - m3) + x * m3 + c3),
-    )
-    return StieltjesSolution(x, m1, m2, m3, residual)
+    *m, x = _branch_at(t, p.ratios, p.epsilon)
+    return StieltjesSolution(x, *m, _residual(x, p.ratios, p.epsilon, m))
 
 
 def real_branch_stieltjes(x: float, p: ModelParams) -> StieltjesSolution:
@@ -336,6 +305,8 @@ def limiting_density(
     eta: float = 1e-6,
 ) -> DensityCurve:
     """Density Im mbar(x + i eta) / pi on a uniform grid, warm-started."""
+    if not eta > 0:
+        raise ValueError("eta must be positive")
     if not x_min < x_max:
         raise ValueError("x_min must be smaller than x_max")
     if n_points < 2:

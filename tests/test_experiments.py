@@ -242,6 +242,17 @@ class TestCli:
         assert abs(result["edge"] - 2.0 * math.sqrt(2.0 * 0.25 / 3.0)) < 1e-6
         assert (tmp_path / "density.csv").exists()
 
+    def test_density_rejects_nonpositive_eta(self, tmp_path, capsys):
+        base = ["density", "--shape", "10,12,14", "--out", str(tmp_path)]
+        for flag in ("--eta=0", "--eta=-1e-6"):
+            assert main(base + [flag]) == 1
+            assert "eta must be positive" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"eta": -0.001}))
+        assert main(base + ["--config", str(cfg_path)]) == 1
+        assert "eta must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "density.csv").exists()
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(
