@@ -124,25 +124,42 @@ def _solve_trial(cfg, shape, signal, epsilon, trial):
     bits = (gen.random(shape.dims) < epsilon).astype(np.uint8)
     t = generate_spiked(shape, signal, rng, noise=noise)
     tm = hadamard(t, MaskTensor(bits, epsilon))
+    factors = reference = None
     if cfg.init == "random":
         inits = [
             tuple(gen.standard_normal(n) for n in shape.dims)
             for _ in range(max(1, cfg.restarts))
         ]
         if len(inits) > 1:
-            ranked = scan_restarts(tm, inits, cfg.scan_sweeps)
-            factors = ranked[0][1:]
+            factors = scan_restarts(tm, inits, cfg.scan_sweeps)[0][1:]
         else:
             factors = inits[0]
-        scfg = SolverConfig(
-            tol=cfg.tol, max_iter=cfg.max_iter, init="supplied", factors=factors
-        )
     else:
-        scfg = SolverConfig(
-            tol=cfg.tol, max_iter=cfg.max_iter, init="planted", reference=signal
-        )
+        reference = signal
+    scfg = SolverConfig(
+        tol=cfg.tol, max_iter=cfg.max_iter, factors=factors, reference=reference
+    )
     cp = solve_critical_point(tm, scfg)
     return cp, tm
+
+
+def _trials(cfg, shape, signal, epsilon):
+    """Run cfg.trials trials at one epsilon.
+
+    Returns the (trial, sigma, q1, q2, q3) rows of the trials that converged
+    and the number that failed (non-convergence, or a degenerate contraction
+    at tiny epsilon); a failed trial is counted, never dropped silently.
+    """
+    rows = []
+    failed = 0
+    for t in range(cfg.trials):
+        try:
+            cp, _ = _solve_trial(cfg, shape, signal, epsilon, t)
+        except (ConvergenceError, DegeneratePointError):
+            failed += 1
+            continue
+        rows.append((t, cp.sigma) + alignments(cp, signal))
+    return rows, failed
 
 
 def _write_csv(path: Path, header, rows):
@@ -164,6 +181,20 @@ def aggregate(rows):
     """Per-column mean and population standard deviation of raw trial rows."""
     arr = np.asarray(rows, dtype=float)
     return arr.mean(axis=0), arr.std(axis=0)
+
+
+EMP_COLUMNS = [
+    f"emp_{q}_{stat}" for stat in ("mean", "std") for q in ("sigma", "q1", "q2", "q3")
+]
+
+
+def _emp_cells(rows, empty):
+    """The EMP_COLUMNS cells of _trials rows, or `empty` in every cell when
+    no trial converged."""
+    if not rows:
+        return [empty] * len(EMP_COLUMNS)
+    mean, std = aggregate([r[1:] for r in rows])
+    return [_fmt(x) for x in list(mean) + list(std)]
 
 
 def run_esd(cfg: ExperimentConfig) -> dict:
@@ -231,53 +262,31 @@ def run_density(cfg: ExperimentConfig) -> dict:
 
 
 def run_spike_curve(cfg: ExperimentConfig) -> dict:
-    """Theory spike curve over a beta grid, optionally with empirical means."""
+    """Theory spike curve over a beta grid, optionally with empirical means
+    and the count of failed trials (n_failed, empty without --empirical)."""
     out = Path(cfg.out or ".")
     if cfg.beta_grid is None:
         raise ValueError("spike-curve needs a beta grid")
-    betas = list(cfg.beta_grid)
+    shape = cfg.resolve_shape() if cfg.empirical else None
     rows = []
-    for beta in betas:
+    for beta in cfg.beta_grid:
         if beta <= 0:
             pred = rmt_theory.INFEASIBLE
         else:
             pred = solve_spike(cfg.model_params(beta=beta))
-        emp = [None] * 8
-        if cfg.empirical and cfg.trials > 0:
-            shape = cfg.resolve_shape()
+        raw, failed = [], ""
+        if cfg.empirical:
             signal = _signal(cfg, shape, beta=beta)
-            raw = []
-            for t in range(cfg.trials):
-                try:
-                    cp, _ = _solve_trial(cfg, shape, signal, cfg.epsilon, t)
-                except (ConvergenceError, DegeneratePointError):
-                    continue
-                raw.append((cp.sigma,) + alignments(cp, signal))
-            if raw:
-                mean, std = aggregate(raw)
-                emp = list(mean) + list(std)
+            raw, failed = _trials(cfg, shape, signal, cfg.epsilon)
         sigma = pred.sigma_inf if pred.feasible else 0.0
         rows.append(
             [_fmt(beta), _fmt(sigma), _fmt(pred.q1), _fmt(pred.q2), _fmt(pred.q3)]
-            + [_fmt(x) for x in emp]
-            + [int(pred.feasible)]
+            + _emp_cells(raw, "")
+            + [int(pred.feasible), failed]
         )
-    header = [
-        "beta",
-        "sigma_inf",
-        "q1",
-        "q2",
-        "q3",
-        "emp_sigma_mean",
-        "emp_q1_mean",
-        "emp_q2_mean",
-        "emp_q3_mean",
-        "emp_sigma_std",
-        "emp_q1_std",
-        "emp_q2_std",
-        "emp_q3_std",
-        "feasible",
-    ]
+    header = (
+        ["beta", "sigma_inf", "q1", "q2", "q3"] + EMP_COLUMNS + ["feasible", "n_failed"]
+    )
     _write_csv(out / "spike_curve.csv", header, rows)
     return {"files": [str(out / "spike_curve.csv")]}
 
@@ -285,8 +294,8 @@ def run_spike_curve(cfg: ExperimentConfig) -> dict:
 def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
     """Empirical alignments against epsilon with theory overlay.
 
-    Failed trials (non-convergence, degenerate contractions at tiny epsilon)
-    are excluded and counted, keeping the trial budget fixed.
+    Failed trials are excluded and counted (n_failed), keeping the trial
+    budget fixed; a grid point where every trial failed reads nan.
     """
     out = Path(cfg.out or ".")
     if cfg.epsilon_grid is None:
@@ -299,44 +308,14 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon grid value {eps} outside (0, 1]")
         pred = solve_spike(cfg.model_params(epsilon=eps))
-        raw = []
-        failed = 0
-        for t in range(cfg.trials):
-            try:
-                cp, _ = _solve_trial(cfg, shape, signal, eps, t)
-            except (ConvergenceError, DegeneratePointError):
-                failed += 1
-                continue
-            align = alignments(cp, signal)
-            raw.append((cp.sigma,) + align)
-            raw_rows.append(
-                [_fmt(eps), t, _fmt(cp.sigma)] + [_fmt(a) for a in align]
-            )
-        if raw:
-            mean, std = aggregate(raw)
-        else:
-            mean = std = [math.nan] * 4
+        raw, failed = _trials(cfg, shape, signal, eps)
+        raw_rows += [[_fmt(eps), t] + [_fmt(x) for x in vals] for t, *vals in raw]
         rows.append(
             [_fmt(eps), _fmt(pred.q1), _fmt(pred.q2), _fmt(pred.q3)]
-            + [_fmt(x) for x in mean]
-            + [_fmt(x) for x in std]
+            + _emp_cells(raw, _fmt(math.nan))
             + [failed]
         )
-    header = [
-        "epsilon",
-        "q1",
-        "q2",
-        "q3",
-        "emp_sigma_mean",
-        "emp_q1_mean",
-        "emp_q2_mean",
-        "emp_q3_mean",
-        "emp_sigma_std",
-        "emp_q1_std",
-        "emp_q2_std",
-        "emp_q3_std",
-        "n_failed",
-    ]
+    header = ["epsilon", "q1", "q2", "q3"] + EMP_COLUMNS + ["n_failed"]
     _write_csv(out / "epsilon_sweep.csv", header, rows)
     _write_csv(
         out / "epsilon_sweep_raw.csv",
@@ -384,12 +363,9 @@ def derivative_check_rows(
     def solve_with(noise_arr, factors=None):
         t = generate_spiked(shape, signal, rng, noise=noise_arr)
         tm = hadamard(t, mask)
-        if factors is None:
-            scfg = SolverConfig(tol=1e-14, max_iter=200_000, init="planted",
-                                reference=signal)
-        else:
-            scfg = SolverConfig(tol=1e-14, max_iter=200_000, init="supplied",
-                                factors=factors)
+        scfg = SolverConfig(
+            tol=1e-14, max_iter=200_000, factors=factors, reference=signal
+        )
         return solve_critical_point(tm, scfg), tm
 
     cp0, tm0 = solve_with(noise)
@@ -466,8 +442,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[list, bool]:
     t = generate_spiked(shape, signal, RngSeed(seed, 11))
     tm = hadamard(t, sample_mask(shape, 0.6, RngSeed(seed, 12)))
     cp = solve_critical_point(
-        tm, SolverConfig(tol=1e-12, max_iter=100_000, init="planted",
-                         reference=signal)
+        tm, SolverConfig(tol=1e-12, max_iter=100_000, reference=signal)
     )
     record("first_order_residual", first_order_residual(tm, cp), 1e-12)
 
@@ -483,8 +458,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[list, bool]:
         mm = sample_mask(sh, float(g.uniform(0.2, 1.0)), RngSeed(seed, 50 + trial))
         tmm = hadamard(tt, mm)
         cpt = solve_critical_point(
-            tmm, SolverConfig(tol=1e-12, max_iter=100_000, init="planted",
-                              reference=sig)
+            tmm, SolverConfig(tol=1e-12, max_iter=100_000, reference=sig)
         )
         sigma = cpt.sigma + cfg.perturb_sigma
         cpt = replace(cpt, sigma=sigma)

@@ -10,6 +10,7 @@ perturbation of a single noise entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +33,25 @@ class SingularResolventError(RuntimeError):
 ZERO_TOL = 1e-10
 # resolvent_solve refuses a sigma closer than GAP_TOL to an eigenvalue.
 GAP_TOL = 1e-8
-# Power iterations behind the operator-norm estimate of the spike residual.
-POWER_ITERS = 50
 
 
 @dataclass(frozen=True)
 class PhiMatrix:
     shape: Shape3
-    matrix: np.ndarray  # (N, N), symmetric, zero diagonal blocks
+    matrix: np.ndarray  # (N, N), symmetric, zero diagonal blocks; read-only
+
+    def __post_init__(self):
+        arr = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "matrix", arr)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """All eigenvalues, ascending and read-only: the one eigensolve that
+        the spectrum, the structural checks and the resolvent share."""
+        vals = np.linalg.eigvalsh(self.matrix)
+        vals.flags.writeable = False
+        return vals
 
     @property
     def block_slices(self):
@@ -147,7 +159,7 @@ def eigen_spectrum(phi: PhiMatrix) -> SpectrumResult:
     Eigenvalues below ZERO_TOL * max|lambda| count as zero (the degenerate
     subspace of the block structure).
     """
-    vals = np.linalg.eigvalsh(phi.matrix)[::-1]
+    vals = phi.eigenvalues[::-1]
     scale = float(np.max(np.abs(vals))) if vals.size else 1.0
     threshold = ZERO_TOL * max(scale, 1e-300)
     zero_count = int(np.sum(np.abs(vals) < threshold))
@@ -178,7 +190,7 @@ def check_structural_eigenpairs(
         float(np.linalg.norm(M @ e2 + sigma * e2)),
     )
 
-    vals = np.linalg.eigvalsh(M)
+    vals = phi.eigenvalues
     is_top = np.abs(vals - 2.0 * sigma) <= tol * max(1.0, 2.0 * sigma)
     excess = np.abs(vals) - sigma
     excess[is_top] = -np.inf
@@ -214,37 +226,25 @@ def spike_decomposition_residual(
     phi0: PhiMatrix,
     epsilon: float,
 ) -> float:
-    """Operator-norm estimate of E = Phi - eps*beta*V S V^T - Phi0.
-
-    The norm is estimated by power iteration on E^T E with a fixed seed;
-    only the order of magnitude matters (the claim is ||E|| -> 0).
-    """
+    """Operator norm (largest singular value) of
+    E = Phi - eps*beta*V S V^T - Phi0; the claim is ||E|| -> 0."""
     if phi.shape != phi0.shape:
         raise DimensionMismatchError("phi and phi0 have different shapes")
     V, S = spike_core(signal, cp)
     E = phi.matrix - epsilon * signal.beta * (V @ S @ V.T) - phi0.matrix
-    gen = np.random.default_rng(0)
-    b = gen.standard_normal(E.shape[0])
-    b /= np.linalg.norm(b)
-    for _ in range(POWER_ITERS):
-        b = E.T @ (E @ b)
-        n = np.linalg.norm(b)
-        if n == 0.0:
-            return 0.0
-        b /= n
-    return float(np.linalg.norm(E @ b))
+    return float(np.linalg.norm(E, 2))
 
 
 def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
     """Solve (Phi - sigma I) q = rhs by a direct dense solve.
 
-    Refuses when sigma sits within GAP_TOL of an eigenvalue.
+    Refuses when sigma sits within GAP_TOL of an eigenvalue of Phi's
+    cached spectrum.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != phi.shape.N:
         raise DimensionMismatchError("right-hand side length does not match N")
-    vals = np.linalg.eigvalsh(phi.matrix)
-    gap = float(np.min(np.abs(vals - sigma)))
+    gap = float(np.min(np.abs(phi.eigenvalues - sigma)))
     if gap <= GAP_TOL:
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue"

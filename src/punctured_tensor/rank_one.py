@@ -46,17 +46,16 @@ class CriticalPoint:
 class SolverConfig:
     tol: float = 1e-12
     max_iter: int = 10_000
-    init: str = "planted"  # "planted" | "supplied"
-    factors: tuple | None = None  # (u0, v0, w0) for init="supplied"
-    reference: SignalTriple | None = None  # planted start / sign convention
+    factors: tuple | None = None  # (u0, v0, w0) start; wins over reference
+    reference: SignalTriple | None = None  # start when no factors; sign convention
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.init not in ("planted", "supplied"):
-            raise ValueError(f"unknown init policy {self.init!r}")
+        if self.factors is None and self.reference is None:
+            raise ValueError("a start needs factors or a reference")
 
 
 def _normalize(vec, what: str) -> tuple[np.ndarray, float]:
@@ -78,13 +77,9 @@ def _residual_max(A, A2, sigma, u, v, w):
 
 def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     n1, n2, n3 = tm.shape.dims
-    if cfg.init == "planted":
-        if cfg.reference is None:
-            raise ValueError("planted init requires cfg.reference")
-        cfg.reference.check_shape(tm.shape)
-        return (cfg.reference.x.copy(), cfg.reference.y.copy(), cfg.reference.z.copy())
     if cfg.factors is None:
-        raise ValueError("supplied init requires cfg.factors")
+        cfg.reference.check_shape(tm.shape)
+        return cfg.reference.x, cfg.reference.y, cfg.reference.z
     u0, v0, w0 = cfg.factors
     u0, v0, w0 = (np.asarray(f, dtype=np.float64) for f in (u0, v0, w0))
     if u0.shape != (n1,) or v0.shape != (n2,) or w0.shape != (n3,):
@@ -92,16 +87,16 @@ def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     return tuple(f / np.linalg.norm(f) for f in (u0, v0, w0))
 
 
-def solve_critical_point(tm: Tensor3, cfg: SolverConfig | None = None) -> CriticalPoint:
+def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     """Run the cyclic power iteration on an (already masked) tensor.
 
-    Starts from the planted signal (init="planted") or from caller-drawn
-    factors (init="supplied"); random starts are drawn by the caller.
+    Starts from cfg.factors when they are given (normalized; random starts
+    are drawn by the caller) and otherwise from the planted cfg.reference.
+    A reference also fixes the sign convention <x, u> >= 0 of the result.
 
     Raises ConvergenceError if the residual is still above cfg.tol after
     cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes.
     """
-    cfg = cfg or SolverConfig()
     A = tm.values
     n1, n2, n3 = tm.shape.dims
     A2 = A.reshape(n1, n2 * n3)

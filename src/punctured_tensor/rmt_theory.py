@@ -89,9 +89,6 @@ class DensityCurve:
     density: np.ndarray
     eta: float
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
-
 
 @dataclass(frozen=True)
 class SpikePrediction:

@@ -163,8 +163,9 @@ def generate_spiked(
 ) -> Tensor3:
     """Sample beta * x (x) y (x) z + G / sqrt(N) with G i.i.d. standard normal.
 
-    `noise` overrides the random draw of G (unscaled); this hook exists for
-    finite-difference tests that perturb a single noise entry.
+    `noise` overrides the random draw of G (unscaled). The finite-difference
+    derivative check uses it to perturb a single noise entry, and the
+    experiment trials to draw noise, mask and starts from one generator.
     """
     signal.check_shape(shape)
     if noise is None:

@@ -108,8 +108,9 @@ class TestRunSpikeCurve:
         )
         run_spike_curve(cfg)
         header, rows = _read_csv(tmp_path / "spike_curve.csv")
-        assert header[0] == "beta" and header[-1] == "feasible"
-        feas = {float(r[0]): int(r[-1]) for r in rows}
+        assert header[0] == "beta" and header[-2:] == ["feasible", "n_failed"]
+        assert all(r[-1] == "" for r in rows)  # no trials without --empirical
+        feas = {float(r[0]): int(r[-2]) for r in rows}
         # Threshold at 2/sqrt(3) ~ 1.1547: below infeasible, above feasible.
         assert feas[0.5] == 0 and feas[1.0] == 0
         assert feas[2.0] == 1 and feas[4.0] == 1
@@ -131,6 +132,30 @@ class TestRunSpikeCurve:
         assert row["emp_sigma_mean"] != ""
         # Empirical alignment should land near theory at this modest size.
         assert abs(float(row["emp_q1_mean"]) - float(row["q1"])) < 0.2
+        assert row["n_failed"] == "0"
+
+    def test_failed_trials_counted(self, tmp_path):
+        # At beta = 1 every trial stops at max_iter: the row must say so
+        # instead of looking like a theory-only row.
+        cfg = ExperimentConfig(
+            shape=Shape3(10, 20, 70),
+            epsilon=0.6,
+            beta_grid=(1.0, 3.0, 5.0),
+            trials=4,
+            init="random",
+            restarts=3,
+            max_iter=40,
+            empirical=True,
+            out=tmp_path,
+        )
+        run_spike_curve(cfg)
+        header, rows = _read_csv(tmp_path / "spike_curve.csv")
+        by_beta = {float(r[0]): dict(zip(header, r)) for r in rows}
+        assert by_beta[1.0]["n_failed"] == "4"
+        assert all(by_beta[1.0][c] == "" for c in header if c.startswith("emp_"))
+        for beta in (3.0, 5.0):
+            assert by_beta[beta]["n_failed"] == "0"
+            assert by_beta[beta]["emp_sigma_mean"] != ""
 
 
 class TestRunEpsilonSweep:

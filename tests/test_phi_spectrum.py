@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from punctured_tensor import (
     PhiMatrix,
@@ -142,6 +145,25 @@ class TestEigenSpectrum:
         # rank <= 2 * (n1 + n2) = 10, so at least 25 - 10 = 15 zeros.
         assert spec.zero_count >= 15
 
+    def test_one_eigensolve_per_phi(self, monkeypatch):
+        tm, _, cp = _instance(Shape3(6, 7, 8), 3.0, 0.5, 6)
+        phi = build_phi(tm, cp.u, cp.v, cp.w)
+        with pytest.raises(ValueError):
+            phi.matrix[0, 1] = 1.0  # read-only, so the cached spectrum holds
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        eigen_spectrum(phi)
+        check_structural_eigenpairs(phi, cp)
+        for entry in ((0, 0, 0), (1, 2, 3), (5, 6, 7)):
+            predict_factor_derivative(phi, cp, entry, 1)
+        assert calls == [(21, 21)]
+
 
 class TestStructuralEigenpairs:
     @pytest.mark.parametrize("seed", [0, 3, 8])
@@ -166,12 +188,27 @@ class TestStructuralEigenpairs:
 
     def test_perturbed_sigma_fails(self):
         # Negative control: a wrong sigma must make the report fail.
-        import dataclasses
-
         tm, _, cp = _instance(Shape3(12, 14, 16), 4.0, 0.5, 4)
         phi = build_phi(tm, cp.u, cp.v, cp.w)
         bad = dataclasses.replace(cp, sigma=cp.sigma * (1.0 + 1e-3))
         assert not check_structural_eigenpairs(phi, bad, tol=1e-8).passed
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(3, 25)] * 3),
+        eps=st.floats(0.2, 1.0),
+        beta=st.floats(3.0, 8.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_holds_over_box(self, dims, eps, beta, seed):
+        # Small skewed instances solved from the planted start: all three
+        # checks pass, and a sigma offset by 1e-3 fails every one of them.
+        tm, _, cp = _instance(Shape3(*dims), beta, eps, seed)
+        phi = build_phi(tm, cp.u, cp.v, cp.w)
+        report = check_structural_eigenpairs(phi, cp, tol=1e-8)
+        assert report.passed, report.failures()
+        bad = dataclasses.replace(cp, sigma=cp.sigma + 1e-3)
+        assert not any(c.passed for c in check_structural_eigenpairs(phi, bad).checks)
 
 
 class TestSpikeDecomposition:
@@ -272,8 +309,7 @@ class TestResolvent:
                 tm = hadamard(generate_spiked(sh, sig, RngSeed(0), noise=pert), mask)
                 cp2 = solve_critical_point(
                     tm,
-                    SolverConfig(tol=1e-14, init="supplied",
-                                 factors=(cp.u, cp.v, cp.w), reference=sig),
+                    SolverConfig(tol=1e-14, factors=(cp.u, cp.v, cp.w), reference=sig),
                 )
                 stacked.append(cp2.stacked())
             fd = (stacked[0] - stacked[1]) / (2.0 * h)

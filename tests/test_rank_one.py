@@ -16,6 +16,7 @@ from punctured_tensor import (
     heuristic1_diagnostic,
     first_order_residual,
     sample_mask,
+    scan_restarts,
     solve_critical_point,
 )
 from punctured_tensor.tensor_core import DimensionMismatchError, contract_full
@@ -46,9 +47,7 @@ class TestExactRankOne:
         t = generate_spiked(sh, sig, RngSeed(0), noise=np.zeros(sh.dims))
         gen = RngSeed(6).generator()
         start = tuple(gen.standard_normal(n) for n in sh.dims)
-        cp = solve_critical_point(
-            t, SolverConfig(init="supplied", factors=start, reference=sig)
-        )
+        cp = solve_critical_point(t, SolverConfig(factors=start, reference=sig))
         al = alignments(cp, sig)
         assert min(al) > 1.0 - 1e-10
         assert abs(cp.sigma - 2.0) < 1e-10
@@ -96,10 +95,7 @@ class TestSolverControls:
     def test_supplied_init(self):
         tm, _, _, sig = _masked_instance(Shape3(10, 11, 12), 4.0, 0.6, 4)
         base = solve_critical_point(tm, SolverConfig(reference=sig))
-        cp = solve_critical_point(
-            tm,
-            SolverConfig(init="supplied", factors=(base.u, base.v, base.w)),
-        )
+        cp = solve_critical_point(tm, SolverConfig(factors=(base.u, base.v, base.w)))
         assert cp.iterations <= 3
         assert abs(cp.sigma - base.sigma) < 1e-11
 
@@ -107,15 +103,29 @@ class TestSolverControls:
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
         with pytest.raises(ValueError):
-            SolverConfig(init="warm")
-        with pytest.raises(ValueError):
-            solve_critical_point(
-                Tensor3(np.ones((2, 2, 2))), SolverConfig(init="planted")
-            )
-        with pytest.raises(ValueError):
-            solve_critical_point(
-                Tensor3(np.ones((2, 2, 2))), SolverConfig(init="random")
-            )
+            SolverConfig()  # neither factors nor a reference to start from
+
+    def test_factors_win_over_reference(self):
+        # Orthogonal components: both planted triples are exact fixed points
+        # (sigma 3 and 2), so the result shows which one the solve started at.
+        sh = Shape3(5, 6, 7)
+        gen = RngSeed(3).generator()
+        q = [np.linalg.qr(gen.standard_normal((n, 2)))[0] for n in sh.dims]
+        first = SignalTriple(q[0][:, 0], q[1][:, 0], q[2][:, 0], 3.0)
+        second = tuple(m[:, 1] for m in q)
+        t = Tensor3(
+            3.0 * np.einsum("i,j,k->ijk", first.x, first.y, first.z)
+            + 2.0 * np.einsum("i,j,k->ijk", *second)
+        )
+        for cfg in (
+            SolverConfig(factors=second),
+            SolverConfig(factors=second, reference=first),
+        ):
+            cp = solve_critical_point(t, cfg)
+            assert abs(cp.sigma - 2.0) < 1e-12
+            assert abs(abs(float(second[0] @ cp.u)) - 1.0) < 1e-12
+        cp = solve_critical_point(t, SolverConfig(reference=first))
+        assert abs(cp.sigma - 3.0) < 1e-12
 
     def test_monotone_objective(self):
         # sigma recorded each sweep must be nondecreasing up to summation slack.
@@ -136,6 +146,36 @@ class TestSolverControls:
             sigmas.append(sigma)
         diffs = np.diff(sigmas)
         assert np.all(diffs >= -1e-12)
+
+
+class TestScanRestarts:
+    def test_batch_matches_single_starts(self):
+        tm, _, _, _ = _masked_instance(Shape3(8, 9, 10), 2.0, 0.6, 5)
+        gen = RngSeed(8).generator()
+        starts = [
+            tuple(gen.standard_normal(n) for n in tm.shape.dims) for _ in range(5)
+        ]
+        ranked = scan_restarts(tm, starts, 7)
+        sigmas = [r[0] for r in ranked]
+        assert sigmas == sorted(sigmas, reverse=True)
+        # Restarts advance independently: the batch is the single-start
+        # scans, ranked by sigma.
+        singles = sorted(
+            (scan_restarts(tm, [s], 7)[0] for s in starts), key=lambda r: -r[0]
+        )
+        for got, want in zip(ranked, singles):
+            assert abs(got[0] - want[0]) <= 1e-12
+            for a, b in zip(got[1:], want[1:]):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            assert abs(got[0] - contract_full(tm, *got[1:])) <= 1e-12
+
+    def test_rejects_bad_input(self):
+        tm, _, _, _ = _masked_instance(Shape3(4, 5, 6), 2.0, 0.6, 5)
+        good = tuple(np.ones(n) for n in (4, 5, 6))
+        with pytest.raises(DimensionMismatchError):
+            scan_restarts(tm, [(np.ones(4), np.ones(5), np.ones(7))], 3)
+        with pytest.raises(ValueError):
+            scan_restarts(tm, [good], 0)
 
 
 class TestAlignments:
