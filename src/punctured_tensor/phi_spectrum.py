@@ -130,9 +130,11 @@ def build_phi0_streamed(
     """Phi of a pure-noise masked tensor, built slab by slab along mode 3.
 
     Never materializes the n1 x n2 x n3 array, so large-N spectra fit in
-    memory. Draws are made per mode-3 slab (noise then mask), which is a
-    different stream layout than generate_spiked + sample_mask; the two are
-    equal in distribution, not bit-for-bit.
+    memory. Each mode-3 slab draws its Bernoulli(epsilon) mask first (n1*n2
+    uniforms, C order) and then one standard normal for each kept entry
+    only, in C order, so about epsilon * n1*n2*n3 normals are drawn in all.
+    This is a different stream layout than generate_spiked + sample_mask;
+    the two are equal in distribution, not bit-for-bit.
     """
     u, v, w = _check_factors(shape, u, v, w)
     if not 0.0 <= epsilon <= 1.0:
@@ -143,10 +145,12 @@ def build_phi0_streamed(
     b12 = np.zeros((n1, n2))
     b13 = np.zeros((n1, n3))
     b23 = np.zeros((n2, n3))
+    slab = np.zeros((n1, n2))
+    flat = slab.reshape(-1)
     for k in range(n3):
-        slab = gen.standard_normal((n1, n2))
-        slab *= scale
-        slab *= gen.random((n1, n2)) < epsilon
+        kept = np.flatnonzero(gen.random(n1 * n2) < epsilon)
+        flat[:] = 0.0
+        flat[kept] = gen.standard_normal(kept.size) * scale
         b12 += w[k] * slab
         b13[:, k] = slab @ v
         b23[:, k] = slab.T @ u

@@ -150,11 +150,10 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     A = tm.values
     A3 = A.reshape(n1 * n2, n3)
     A1t = A.reshape(n1, n2 * n3).T
-    U = np.stack([np.asarray(u, dtype=np.float64) for u, _, _ in inits], axis=1)
-    V = np.stack([np.asarray(v, dtype=np.float64) for _, v, _ in inits], axis=1)
-    W = np.stack([np.asarray(w, dtype=np.float64) for _, _, w in inits], axis=1)
-    if U.shape[0] != n1 or V.shape[0] != n2 or W.shape[0] != n3:
+    starts = [tuple(np.asarray(f, dtype=np.float64) for f in s) for s in inits]
+    if any(tuple(f.shape for f in s) != ((n1,), (n2,), (n3,)) for s in starts):
         raise DimensionMismatchError("scan inits do not match the tensor shape")
+    U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
     R = U.shape[1]
     for cols in (U, V, W):
         cols /= np.linalg.norm(cols, axis=0)

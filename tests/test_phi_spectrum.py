@@ -113,6 +113,23 @@ class TestStreamedPhi0:
         for s in (s1, s2, s3):
             assert np.all(M[s, s] == 0.0)
 
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_stream_layout(self, eps):
+        # Pins the draw order: per mode-3 slab, the mask's uniforms first,
+        # then one normal for each kept entry in C order. The dense masked
+        # tensor rebuilt from the same stream must give the same Phi.
+        sh = Shape3(5, 6, 7)
+        u, v, w = (np.random.default_rng(n).standard_normal(n) for n in sh.dims)
+        gen = RngSeed(11).generator()
+        dense = np.zeros(sh.dims)
+        for k in range(sh.n3):
+            keep = gen.random((sh.n1, sh.n2)) < eps
+            dense[:, :, k][keep] = gen.standard_normal(np.count_nonzero(keep))
+        dense /= np.sqrt(sh.N)
+        got = build_phi0_streamed(sh, eps, u, v, w, RngSeed(11)).matrix
+        want = build_phi(Tensor3(dense), u, v, w).matrix
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_epsilon_zero_gives_zero(self):
         sh = Shape3(4, 5, 6)
         u, v, w = (np.ones(n) / np.sqrt(n) for n in sh.dims)

@@ -174,6 +174,9 @@ class TestScanRestarts:
         good = tuple(np.ones(n) for n in (4, 5, 6))
         with pytest.raises(DimensionMismatchError):
             scan_restarts(tm, [(np.ones(4), np.ones(5), np.ones(7))], 3)
+        # Starts whose lengths differ from each other, not only from the dims.
+        with pytest.raises(DimensionMismatchError):
+            scan_restarts(tm, [good, (np.ones(4), np.ones(5), np.ones(7))], 3)
         with pytest.raises(ValueError):
             scan_restarts(tm, [good], 0)
 
