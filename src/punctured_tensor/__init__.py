@@ -8,7 +8,6 @@ from .tensor_core import (
     SignalTriple,
     Tensor3,
     contract_full,
-    contract_mode,
     contract_one,
     generate_spiked,
     hadamard,

@@ -21,6 +21,7 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    check_factors,
     contract_one,
 )
 
@@ -94,13 +95,6 @@ class StructuralReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _check_factors(shape: Shape3, u, v, w):
-    u, v, w = (np.asarray(f, dtype=np.float64) for f in (u, v, w))
-    if u.shape != (shape.n1,) or v.shape != (shape.n2,) or w.shape != (shape.n3,):
-        raise DimensionMismatchError("factor lengths do not match the tensor shape")
-    return u, v, w
-
-
 def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
     n1, n2, n3 = shape.dims
     N = shape.N
@@ -117,7 +111,7 @@ def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
 
 def build_phi(tm: Tensor3, u, v, w) -> PhiMatrix:
     """Assemble Phi from the already-masked tensor and the three factors."""
-    u, v, w = _check_factors(tm.shape, u, v, w)
+    u, v, w = check_factors(tm.shape, (u, v, w))
     b12 = contract_one(tm, 3, w)
     b13 = contract_one(tm, 2, v)
     b23 = contract_one(tm, 1, u)
@@ -136,7 +130,7 @@ def build_phi0_streamed(
     This is a different stream layout than generate_spiked + sample_mask;
     the two are equal in distribution, not bit-for-bit.
     """
-    u, v, w = _check_factors(shape, u, v, w)
+    u, v, w = check_factors(shape, (u, v, w))
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     n1, n2, n3 = shape.dims

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import DimensionMismatchError, SignalTriple, Tensor3
+from .tensor_core import (
+    DimensionMismatchError,
+    SignalTriple,
+    Tensor3,
+    check_factors,
+    contract_one,
+)
 
 
 class ConvergenceError(RuntimeError):
@@ -65,26 +71,21 @@ def _normalize(vec, what: str) -> tuple[np.ndarray, float]:
     return vec / n, float(n)
 
 
-def _residual_max(A, A2, sigma, u, v, w):
+def _residual_max(tm: Tensor3, sigma, u, v, w):
     """Max-norm defect of the three first-order conditions."""
-    M3 = A @ w
+    M3 = contract_one(tm, 3, w)
     r1 = np.max(np.abs(M3 @ v - sigma * u))
     r2 = np.max(np.abs(M3.T @ u - sigma * v))
-    M1 = (u @ A2).reshape(A.shape[1], A.shape[2])
+    M1 = contract_one(tm, 1, u)
     r3 = np.max(np.abs(M1.T @ v - sigma * w))
     return max(r1, r2, r3)
 
 
 def _initial_factors(tm: Tensor3, cfg: SolverConfig):
-    n1, n2, n3 = tm.shape.dims
     if cfg.factors is None:
         cfg.reference.check_shape(tm.shape)
         return cfg.reference.x, cfg.reference.y, cfg.reference.z
-    u0, v0, w0 = cfg.factors
-    u0, v0, w0 = (np.asarray(f, dtype=np.float64) for f in (u0, v0, w0))
-    if u0.shape != (n1,) or v0.shape != (n2,) or w0.shape != (n3,):
-        raise DimensionMismatchError("supplied factors do not match the shape")
-    return tuple(f / np.linalg.norm(f) for f in (u0, v0, w0))
+    return tuple(f / np.linalg.norm(f) for f in check_factors(tm.shape, cfg.factors))
 
 
 def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
@@ -97,22 +98,19 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     Raises ConvergenceError if the residual is still above cfg.tol after
     cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes.
     """
-    A = tm.values
-    n1, n2, n3 = tm.shape.dims
-    A2 = A.reshape(n1, n2 * n3)
     u, v, w = _initial_factors(tm, cfg)
 
     # Slack for the monotone-objective assertion grows with the number of
     # terms accumulated per contraction (floating-point summation noise).
-    mono_slack = 1e-13 + 1e-15 * np.sqrt(A.size)
+    mono_slack = 1e-13 + 1e-15 * np.sqrt(tm.values.size)
 
     sigma_prev = -np.inf
     residual = np.inf
     for it in range(1, cfg.max_iter + 1):
-        M3 = A @ w
+        M3 = contract_one(tm, 3, w)
         u, _ = _normalize(M3 @ v, "u")
         v, _ = _normalize(M3.T @ u, "v")
-        M1 = (u @ A2).reshape(n2, n3)
+        M1 = contract_one(tm, 1, u)
         w, sigma = _normalize(M1.T @ v, "w")
 
         if sigma < sigma_prev - mono_slack * max(1.0, sigma):
@@ -122,7 +120,7 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
         near_fixed = abs(sigma - sigma_prev) <= 10.0 * cfg.tol * max(1.0, sigma)
         sigma_prev = sigma
         if near_fixed or it == cfg.max_iter or it % 200 == 0:
-            residual = _residual_max(A, A2, sigma, u, v, w)
+            residual = _residual_max(tm, sigma, u, v, w)
             if residual <= cfg.tol:
                 if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
                     u, v = -u, -v  # flipping a pair preserves the fixed point
@@ -137,38 +135,28 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
 def scan_restarts(tm: Tensor3, inits, sweeps: int):
     """Advance several initializations jointly for a fixed number of sweeps.
 
-    Returns [(sigma, u, v, w), ...] sorted by descending sigma. The big
-    contractions are batched into two matrix products per sweep, so the
-    tensor is streamed through memory twice per sweep regardless of the
-    number of restarts -- the per-restart cost is then small compared to a
-    sequential scan. Intended for picking the best basin before a polishing
-    run of solve_critical_point (the returned points are not converged).
+    Returns [(sigma, u, v, w), ...] sorted by descending sigma. The starts
+    are stacked as columns of n x R batches, so each sweep makes two batched
+    contract_one calls (modes 3 and 1) that stream the tensor through memory
+    once each regardless of the number of restarts R; the small per-restart
+    products run as einsum over the trailing R axis. Intended for picking the
+    best basin before a polishing run of solve_critical_point (the returned
+    points are not converged).
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    n1, n2, n3 = tm.shape.dims
-    A = tm.values
-    A3 = A.reshape(n1 * n2, n3)
-    A1t = A.reshape(n1, n2 * n3).T
-    starts = [tuple(np.asarray(f, dtype=np.float64) for f in s) for s in inits]
-    if any(tuple(f.shape for f in s) != ((n1,), (n2,), (n3,)) for s in starts):
-        raise DimensionMismatchError("scan inits do not match the tensor shape")
+    starts = [check_factors(tm.shape, s) for s in inits]
     U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
-    R = U.shape[1]
     for cols in (U, V, W):
         cols /= np.linalg.norm(cols, axis=0)
-    sigma = np.zeros(R)
+    sigma = np.zeros(U.shape[1])
     for _ in range(sweeps):
-        T3 = (A3 @ W).reshape(n1, n2, R)
-        for r in range(R):
-            U[:, r] = T3[:, :, r] @ V[:, r]
+        T3 = contract_one(tm, 3, W)
+        U = np.einsum("ijr,jr->ir", T3, V)
         U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
-        for r in range(R):
-            V[:, r] = T3[:, :, r].T @ U[:, r]
+        V = np.einsum("ijr,ir->jr", T3, U)
         V /= np.maximum(np.linalg.norm(V, axis=0), 1e-300)
-        T1 = (A1t @ U).reshape(n2, n3, R)
-        for r in range(R):
-            W[:, r] = T1[:, :, r].T @ V[:, r]
+        W = np.einsum("jkr,jr->kr", contract_one(tm, 1, U), V)
         sigma = np.linalg.norm(W, axis=0)
         W /= np.maximum(sigma, 1e-300)
     order = np.argsort(sigma)[::-1]
@@ -178,11 +166,8 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
 
 def first_order_residual(tm: Tensor3, cp: CriticalPoint) -> float:
     """Max-norm residual of the first-order conditions at (sigma, u, v, w)."""
-    n1, n2, n3 = tm.shape.dims
-    if cp.u.shape != (n1,) or cp.v.shape != (n2,) or cp.w.shape != (n3,):
-        raise DimensionMismatchError("critical point does not match the tensor shape")
-    A2 = tm.values.reshape(n1, n2 * n3)
-    return float(_residual_max(tm.values, A2, cp.sigma, cp.u, cp.v, cp.w))
+    u, v, w = check_factors(tm.shape, (cp.u, cp.v, cp.w))
+    return float(_residual_max(tm, cp.sigma, u, v, w))
 
 
 def alignments(cp: CriticalPoint, signal: SignalTriple) -> tuple[float, float, float]:

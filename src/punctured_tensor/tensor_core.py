@@ -148,11 +148,23 @@ class SignalTriple:
                 )
 
 
-def _check_vector(vec, n: int, label: str) -> np.ndarray:
+def _check_vector(vec, n: int, label: str, batch: bool = False) -> np.ndarray:
+    """vec as float64 of shape (n,), or also (n, R) when batch is allowed."""
     vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (n,):
-        raise DimensionMismatchError(f"{label} has shape {vec.shape}, expected ({n},)")
+    if vec.shape[:1] != (n,) or vec.ndim > 1 + batch:
+        expected = f"({n},) or ({n}, R)" if batch else f"({n},)"
+        raise DimensionMismatchError(f"{label} has shape {vec.shape}, expected {expected}")
     return vec
+
+
+def check_factors(shape: Shape3, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors (u, v, w) as float64 vectors of lengths (n1, n2, n3)."""
+    u, v, w = factors
+    return (
+        _check_vector(u, shape.n1, "mode-1 factor"),
+        _check_vector(v, shape.n2, "mode-2 factor"),
+        _check_vector(w, shape.n3, "mode-3 factor"),
+    )
 
 
 def generate_spiked(
@@ -202,51 +214,24 @@ def hadamard(t: Tensor3, m: MaskTensor) -> Tensor3:
 
 def contract_full(t: Tensor3, a, b, c) -> float:
     """Full contraction sum_{ijk} t_ijk a_i b_j c_k."""
-    n1, n2, n3 = t.shape.dims
-    a = _check_vector(a, n1, "mode-1 vector")
-    b = _check_vector(b, n2, "mode-2 vector")
-    c = _check_vector(c, n3, "mode-3 vector")
-    return float(a @ ((t.values @ c) @ b))
-
-
-def contract_mode(t: Tensor3, mode: int, p, q) -> np.ndarray:
-    """Contract all modes but `mode`; p, q are given in ascending mode order.
-
-    mode 1 returns t(:, p, q), mode 2 returns t(p, :, q), mode 3 returns t(p, q, :).
-    """
-    n1, n2, n3 = t.shape.dims
-    A = t.values
-    if mode == 1:
-        p = _check_vector(p, n2, "mode-2 vector")
-        q = _check_vector(q, n3, "mode-3 vector")
-        return (A @ q) @ p
-    if mode == 2:
-        p = _check_vector(p, n1, "mode-1 vector")
-        q = _check_vector(q, n3, "mode-3 vector")
-        return p @ (A @ q)
-    if mode == 3:
-        p = _check_vector(p, n1, "mode-1 vector")
-        q = _check_vector(q, n2, "mode-2 vector")
-        return q @ (p @ A.reshape(n1, n2 * n3)).reshape(n2, n3)
-    raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    a, b, c = check_factors(t.shape, (a, b, c))
+    return float(a @ (contract_one(t, 3, c) @ b))
 
 
 def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
-    """Contract a single mode against p.
+    """Contract a single mode against p; the only product with the tensor.
 
     mode 3 gives the n1 x n2 matrix sum_k t_ijk p_k; mode 2 gives n1 x n3;
-    mode 1 gives n2 x n3.
+    mode 1 gives n2 x n3. p is a vector (n_mode,) or a batch (n_mode, R) of
+    R vectors; a batch adds a trailing R axis to the result.
     """
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
+    p = _check_vector(p, t.shape.dim(mode), f"mode-{mode} operand", batch=True)
     n1, n2, n3 = t.shape.dims
     A = t.values
     if mode == 1:
-        p = _check_vector(p, n1, "mode-1 vector")
-        return (p @ A.reshape(n1, n2 * n3)).reshape(n2, n3)
+        return (A.reshape(n1, n2 * n3).T @ p).reshape((n2, n3) + p.shape[1:])
     if mode == 2:
-        p = _check_vector(p, n2, "mode-2 vector")
-        return p @ A
-    if mode == 3:
-        p = _check_vector(p, n3, "mode-3 vector")
-        return A @ p
-    raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-
+        return np.moveaxis(A, 1, -1) @ p
+    return A @ p

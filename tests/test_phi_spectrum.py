@@ -26,7 +26,7 @@ from punctured_tensor import (
     spike_core,
     spike_decomposition_residual,
 )
-from punctured_tensor.tensor_core import DimensionMismatchError, contract_mode
+from punctured_tensor.tensor_core import DimensionMismatchError, contract_one
 
 
 def _instance(shape, beta, epsilon, seed, tol=1e-12):
@@ -93,7 +93,7 @@ class TestStreamedPhi0:
         def dense_b12(seed):
             t = generate_spiked(sh, sig, RngSeed(seed, 1))
             m = sample_mask(sh, eps, RngSeed(seed, 2))
-            return np.linalg.norm(contract_mode(hadamard(t, m), 1, v, w))
+            return np.linalg.norm(contract_one(hadamard(t, m), 3, w) @ v)
 
         streamed, dense = [], []
         for seed in range(40):

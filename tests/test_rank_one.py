@@ -78,6 +78,14 @@ class TestFixedPointEquations:
         cp = solve_critical_point(tm, SolverConfig(reference=sig))
         assert float(sig.x @ cp.u) >= 0.0
 
+    def test_factor_lengths_checked(self):
+        tm, _, _, _ = _masked_instance(Shape3(4, 5, 6), 2.0, 0.6, 5)
+        bad = (np.ones(4), np.ones(5), np.ones(7))
+        with pytest.raises(DimensionMismatchError):
+            solve_critical_point(tm, SolverConfig(factors=bad))
+        with pytest.raises(DimensionMismatchError):
+            first_order_residual(tm, CriticalPoint(1.0, *bad))
+
 
 class TestSolverControls:
     def test_convergence_error_carries_residual(self):

@@ -8,7 +8,6 @@ from punctured_tensor import (
     SignalTriple,
     Tensor3,
     contract_full,
-    contract_mode,
     contract_one,
     generate_spiked,
     hadamard,
@@ -132,6 +131,16 @@ class TestHadamard:
             hadamard(t, m)
 
 
+def _free_mode(t, a, b, c):
+    """Each one-free-mode contraction, t(:, b, c), t(a, :, c) and t(a, b, :),
+    by both contract_one compositions that reach it: {mode: (one, other)}."""
+    return {
+        1: (contract_one(t, 3, c) @ b, contract_one(t, 2, b) @ c),
+        2: (a @ contract_one(t, 3, c), contract_one(t, 1, a) @ c),
+        3: (a @ contract_one(t, 2, b), b @ contract_one(t, 1, a)),
+    }
+
+
 class TestContractions:
     def test_basis_tensor(self):
         vals = np.zeros((3, 4, 5))
@@ -145,7 +154,7 @@ class TestContractions:
         x, y, z = (v / np.linalg.norm(v) for v in (x, y, z))
         t = Tensor3(2.5 * np.einsum("i,j,k->ijk", x, y, z))
         assert abs(contract_full(t, x, y, z) - 2.5) < 1e-12
-        np.testing.assert_allclose(contract_mode(t, 1, y, z), 2.5 * x, atol=1e-12)
+        np.testing.assert_allclose(contract_one(t, 3, z) @ y, 2.5 * x, atol=1e-12)
         np.testing.assert_allclose(
             contract_one(t, 3, z), 2.5 * np.outer(x, y), atol=1e-12
         )
@@ -154,12 +163,12 @@ class TestContractions:
         t = Tensor3(rng.standard_normal((3, 4, 5)))
         a, b, c = (rng.standard_normal(n) for n in (3, 4, 5))
         assert abs(contract_full(t, a, b, c) - triple_loop_full(t.values, a, b, c)) < 1e-12
+        free = _free_mode(t, a, b, c)
         for mode, (p, q) in [(1, (b, c)), (2, (a, c)), (3, (a, b))]:
-            np.testing.assert_allclose(
-                contract_mode(t, mode, p, q),
-                triple_loop_mode(t.values, mode, p, q),
-                atol=1e-12,
-            )
+            for got in free[mode]:
+                np.testing.assert_allclose(
+                    got, triple_loop_mode(t.values, mode, p, q), atol=1e-12
+                )
         for mode, p in [(1, a), (2, b), (3, c)]:
             np.testing.assert_allclose(
                 contract_one(t, mode, p),
@@ -167,21 +176,36 @@ class TestContractions:
                 atol=1e-12,
             )
 
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_batch_matches_columns(self, rng, mode):
+        dims = (3, 4, 5)
+        t = Tensor3(rng.standard_normal(dims))
+        P = rng.standard_normal((dims[mode - 1], 3))
+        got = contract_one(t, mode, P)
+        assert got.shape == contract_one(t, mode, P[:, 0]).shape + (3,)
+        for r in range(3):
+            np.testing.assert_allclose(
+                got[..., r], triple_loop_one(t.values, mode, P[:, r]), atol=1e-12
+            )
+        stacked = np.stack([contract_one(t, mode, p) for p in P.T], axis=-1)
+        np.testing.assert_allclose(got, stacked, atol=1e-12)
+
     def test_consistency_chain_random_shapes(self, rng):
-        # contract_one -> contract_mode -> contract_full compose correctly.
+        # contract_one composes into every one-free-mode contraction, both
+        # ways round, and from there into contract_full.
         for _ in range(100):
             dims = tuple(int(d) for d in rng.integers(2, 9, size=3))
             t = Tensor3(rng.standard_normal(dims))
             a, b, c = (rng.standard_normal(n) for n in dims)
-            np.testing.assert_allclose(
-                contract_one(t, 3, c) @ b, contract_mode(t, 1, b, c), atol=1e-12
-            )
-            np.testing.assert_allclose(
-                contract_one(t, 1, a).T @ b, contract_mode(t, 3, a, b), atol=1e-12
-            )
-            assert (
-                abs(contract_mode(t, 1, b, c) @ a - contract_full(t, a, b, c)) < 1e-12
-            )
+            free = _free_mode(t, a, b, c)
+            for mode, (p, q) in [(1, (b, c)), (2, (a, c)), (3, (a, b))]:
+                for got in free[mode]:
+                    np.testing.assert_allclose(
+                        got, triple_loop_mode(t.values, mode, p, q), atol=1e-12
+                    )
+            full = contract_full(t, a, b, c)
+            for mode, rest in [(1, a), (2, b), (3, c)]:
+                assert abs(free[mode][0] @ rest - full) < 1e-12
 
     def test_multilinearity(self, rng):
         t = Tensor3(rng.standard_normal((4, 3, 6)))
@@ -192,11 +216,19 @@ class TestContractions:
         )
 
     def test_dimension_errors(self, rng):
-        t = Tensor3(rng.standard_normal((3, 4, 5)))
+        dims = (3, 4, 5)
+        t = Tensor3(rng.standard_normal(dims))
         with pytest.raises(DimensionMismatchError):
             contract_full(t, np.zeros(2), np.zeros(4), np.zeros(5))
         with pytest.raises(ValueError):
-            contract_mode(t, 4, np.zeros(4), np.zeros(5))
+            contract_one(t, 4, np.zeros(4))
+        for mode, n in zip((1, 2, 3), dims):
+            with pytest.raises(DimensionMismatchError):
+                contract_one(t, mode, np.zeros(n + 1))
+            with pytest.raises(DimensionMismatchError):
+                contract_one(t, mode, np.zeros((n + 1, 2)))
+            with pytest.raises(DimensionMismatchError):
+                contract_one(t, mode, np.zeros((n, 2, 2)))
 
 
 class TestSignalTriple:
