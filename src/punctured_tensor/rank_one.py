@@ -132,33 +132,49 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     )
 
 
+def _unit_columns(X: np.ndarray):
+    """Scale the columns of X to unit norm in place.
+
+    The floor is the smallest normal number of X's dtype (1e-300 underflows
+    to 0 in float32), so a zero column stays zero instead of turning NaN.
+    """
+    X /= np.maximum(np.linalg.norm(X, axis=0), np.finfo(X.dtype).tiny)
+
+
 def scan_restarts(tm: Tensor3, inits, sweeps: int):
     """Advance several initializations jointly for a fixed number of sweeps.
 
-    Returns [(sigma, u, v, w), ...] sorted by descending sigma. The starts
-    are stacked as columns of n x R batches, so each sweep makes two batched
-    contract_one calls (modes 3 and 1) that stream the tensor through memory
-    once each regardless of the number of restarts R; the small per-restart
-    products run as einsum over the trailing R axis. Intended for picking the
-    best basin before a polishing run of solve_critical_point (the returned
-    points are not converged).
+    Returns [(sigma, u, v, w), ...] sorted by descending sigma. The scan only
+    ranks the restarts, so it runs in float32 on one float32 copy of the
+    tensor: the starts are stacked as columns of n x R batches, and each
+    sweep makes two batched contract_one calls (modes 3 and 1) that stream
+    the copy once each regardless of R; the per-restart products run as
+    einsum over the trailing R axis. The returned factors are float64,
+    renormalized, and sigma is tm(u, v, w) computed in float64 from them. The
+    points are not converged: the float64 solve_critical_point polishes the
+    best one. A restart whose contraction vanishes keeps zero factors and
+    sigma 0.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     starts = [check_factors(tm.shape, s) for s in inits]
     U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
     for cols in (U, V, W):
-        cols /= np.linalg.norm(cols, axis=0)
-    sigma = np.zeros(U.shape[1])
+        _unit_columns(cols)
+    U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
+    t32 = Tensor3(tm.values.astype(np.float32))
     for _ in range(sweeps):
-        T3 = contract_one(tm, 3, W)
+        T3 = contract_one(t32, 3, W)
         U = np.einsum("ijr,jr->ir", T3, V)
-        U /= np.maximum(np.linalg.norm(U, axis=0), 1e-300)
+        _unit_columns(U)
         V = np.einsum("ijr,ir->jr", T3, U)
-        V /= np.maximum(np.linalg.norm(V, axis=0), 1e-300)
-        W = np.einsum("jkr,jr->kr", contract_one(tm, 1, U), V)
-        sigma = np.linalg.norm(W, axis=0)
-        W /= np.maximum(sigma, 1e-300)
+        _unit_columns(V)
+        W = np.einsum("jkr,jr->kr", contract_one(t32, 1, U), V)
+        _unit_columns(W)
+    U, V, W = (cols.astype(np.float64) for cols in (U, V, W))
+    for cols in (U, V, W):
+        _unit_columns(cols)
+    sigma = np.einsum("ijr,ir,jr->r", contract_one(tm, 3, W), U, V)
     order = np.argsort(sigma)[::-1]
     return [(float(sigma[r]), U[:, r].copy(), V[:, r].copy(), W[:, r].copy())
             for r in order]

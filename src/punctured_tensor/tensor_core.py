@@ -62,12 +62,17 @@ class RngSeed:
 
 
 class Tensor3:
-    """Immutable dense order-3 real tensor."""
+    """Immutable dense order-3 real tensor.
+
+    Values given as float32 stay float32; everything else is cast to float64.
+    """
 
     __slots__ = ("values", "shape")
 
     def __init__(self, values):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        dtype = np.float32 if arr.dtype == np.float32 else np.float64
+        arr = np.ascontiguousarray(arr, dtype=dtype)
         if arr.ndim != 3:
             raise DimensionMismatchError(f"expected a 3-way array, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
@@ -141,11 +146,7 @@ class SignalTriple:
 
     def check_shape(self, shape: Shape3):
         for name, n in zip(("x", "y", "z"), shape.dims):
-            if getattr(self, name).shape[0] != n:
-                raise DimensionMismatchError(
-                    f"signal factor {name} has length "
-                    f"{getattr(self, name).shape[0]}, expected {n}"
-                )
+            _check_vector(getattr(self, name), n, f"signal factor {name}")
 
 
 def _check_vector(vec, n: int, label: str, batch: bool = False) -> np.ndarray:
@@ -167,6 +168,16 @@ def check_factors(shape: Shape3, factors) -> tuple[np.ndarray, np.ndarray, np.nd
     )
 
 
+def _scale_and_spike(g: np.ndarray, signal: SignalTriple) -> np.ndarray:
+    """Turn standard normals g into g / sqrt(N) + beta * x (x) y (x) z in place."""
+    g /= np.sqrt(sum(g.shape))
+    if signal.beta != 0.0:
+        spike = np.einsum("i,j,k->ijk", signal.x, signal.y, signal.z)
+        spike *= signal.beta
+        g += spike
+    return g
+
+
 def generate_spiked(
     shape: Shape3,
     signal: SignalTriple,
@@ -175,23 +186,20 @@ def generate_spiked(
 ) -> Tensor3:
     """Sample beta * x (x) y (x) z + G / sqrt(N) with G i.i.d. standard normal.
 
-    `noise` overrides the random draw of G (unscaled). The finite-difference
-    derivative check uses it to perturb a single noise entry, and the
-    experiment trials to draw noise, mask and starts from one generator.
+    `noise` overrides the random draw of G (unscaled); it is copied, never
+    modified. The finite-difference derivative check uses it to perturb a
+    single noise entry.
     """
     signal.check_shape(shape)
     if noise is None:
         g = rng.generator().standard_normal(shape.dims)
     else:
-        g = np.asarray(noise, dtype=np.float64)
+        g = np.array(noise, dtype=np.float64)
         if g.shape != shape.dims:
             raise DimensionMismatchError(
                 f"noise override has shape {g.shape}, expected {shape.dims}"
             )
-    t = g / np.sqrt(shape.N)
-    if signal.beta != 0.0:
-        t = t + signal.beta * np.einsum("i,j,k->ijk", signal.x, signal.y, signal.z)
-    return Tensor3(t)
+    return Tensor3(_scale_and_spike(g, signal))
 
 
 def sample_mask(shape: Shape3, epsilon: float, rng: RngSeed) -> MaskTensor:
@@ -223,13 +231,16 @@ def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
 
     mode 3 gives the n1 x n2 matrix sum_k t_ijk p_k; mode 2 gives n1 x n3;
     mode 1 gives n2 x n3. p is a vector (n_mode,) or a batch (n_mode, R) of
-    R vectors; a batch adds a trailing R axis to the result.
+    R vectors; a batch adds a trailing R axis to the result. The product is
+    computed in the tensor's dtype (p is cast to it): float64 everywhere
+    except the float32 copy that scan_restarts ranks its restarts on.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     p = _check_vector(p, t.shape.dim(mode), f"mode-{mode} operand", batch=True)
     n1, n2, n3 = t.shape.dims
     A = t.values
+    p = p.astype(A.dtype, copy=False)
     if mode == 1:
         return (A.reshape(n1, n2 * n3).T @ p).reshape((n2, n3) + p.shape[1:])
     if mode == 2:

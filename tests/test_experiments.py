@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from punctured_tensor import Shape3
+from punctured_tensor import (
+    MaskTensor,
+    RngSeed,
+    Shape3,
+    SignalTriple,
+    generate_spiked,
+    hadamard,
+)
 from punctured_tensor.cli import build_parser, config_from_args, main
 from punctured_tensor.experiments import (
     ExperimentConfig,
+    _solve_trial,
     aggregate,
     derivative_check_rows,
     run_epsilon_sweep,
@@ -156,6 +164,36 @@ class TestRunSpikeCurve:
         for beta in (3.0, 5.0):
             assert by_beta[beta]["n_failed"] == "0"
             assert by_beta[beta]["emp_sigma_mean"] != ""
+
+
+class TestSolveTrial:
+    @pytest.mark.parametrize("beta, eps", [(3.0, 0.6), (0.0, 1.0), (5.0, 0.3)])
+    def test_instance_matches_separate_steps(self, beta, eps):
+        # The trial builds its tensor in the buffer of its normals; it must
+        # equal, bit for bit, the spiked tensor punctured by the mask drawn
+        # next from the same generator.
+        shape = Shape3(6, 7, 8)
+        cfg = ExperimentConfig(shape=shape, beta=beta, init="planted", base_seed=4)
+        signal = SignalTriple.random(shape, beta, RngSeed(4, 0))
+        _, tm = _solve_trial(cfg, shape, signal, eps, 2)
+        rng = RngSeed(4, 3)
+        gen = rng.generator()
+        g = gen.standard_normal(shape.dims)
+        bits = (gen.random(shape.dims) < eps).astype(np.uint8)
+        kept = g.copy()
+        want = hadamard(
+            generate_spiked(shape, signal, rng, noise=g.copy()), MaskTensor(bits, eps)
+        )
+        generate_spiked(shape, signal, rng, noise=g)
+        assert g.tobytes() == kept.tobytes()
+        assert tm.values.tobytes() == want.values.tobytes()
+
+    def test_rejects_epsilon_out_of_range(self):
+        shape = Shape3(3, 4, 5)
+        cfg = ExperimentConfig(shape=shape, init="planted")
+        signal = SignalTriple.random(shape, 2.0, RngSeed(0))
+        with pytest.raises(ValueError, match="epsilon"):
+            _solve_trial(cfg, shape, signal, 1.5, 0)
 
 
 class TestRunEpsilonSweep:

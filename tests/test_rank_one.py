@@ -19,7 +19,13 @@ from punctured_tensor import (
     scan_restarts,
     solve_critical_point,
 )
-from punctured_tensor.tensor_core import DimensionMismatchError, contract_full
+from punctured_tensor.tensor_core import (
+    DimensionMismatchError,
+    contract_full,
+    contract_one,
+)
+
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def _masked_instance(shape, beta, epsilon, seed):
@@ -156,6 +162,22 @@ class TestSolverControls:
         assert np.all(diffs >= -1e-12)
 
 
+def _scan64(tm, starts, sweeps):
+    """Float64 reference scan: each start alone; returns the max-sigma one."""
+    best = (-1.0,)
+    for u, v, w in starts:
+        u, v, w = (f / np.linalg.norm(f) for f in (u, v, w))
+        for _ in range(sweeps):
+            M3 = contract_one(tm, 3, w)
+            u = M3 @ v / np.linalg.norm(M3 @ v)
+            v = M3.T @ u / np.linalg.norm(M3.T @ u)
+            w = contract_one(tm, 1, u).T @ v
+            sigma = np.linalg.norm(w)
+            w = w / sigma
+        best = max(best, (sigma, u, v, w), key=lambda r: r[0])
+    return best
+
+
 class TestScanRestarts:
     def test_batch_matches_single_starts(self):
         tm, _, _, _ = _masked_instance(Shape3(8, 9, 10), 2.0, 0.6, 5)
@@ -171,11 +193,58 @@ class TestScanRestarts:
         singles = sorted(
             (scan_restarts(tm, [s], 7)[0] for s in starts), key=lambda r: -r[0]
         )
+        # The scan runs in float32, and a one-column batch takes other BLAS
+        # and reduction paths than a five-column one, so batch and single
+        # starts differ by float32 rounding (up to 0.8 eps32 in the factors,
+        # 2.7e-8 in sigma, on a 2-core x86_64 OpenBLAS host). Seven sweeps
+        # leave the restarts away from a critical point (residual 0.02-0.13),
+        # so sigma moves to first order with the factors.
         for got, want in zip(ranked, singles):
-            assert abs(got[0] - want[0]) <= 1e-12
+            assert abs(got[0] - want[0]) <= 16 * EPS32 * got[0]
             for a, b in zip(got[1:], want[1:]):
-                assert np.max(np.abs(a - b)) <= 1e-12
+                assert a.dtype == np.float64
+                assert np.max(np.abs(a - b)) <= 16 * EPS32
+                assert abs(np.linalg.norm(a) - 1.0) <= 1e-15
             assert abs(got[0] - contract_full(tm, *got[1:])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "dims, beta, eps",
+        [((10, 12, 14), 0.5, 0.5), ((15, 20, 25), 1.0, 0.4),
+         ((8, 16, 30), 0.8, 0.6), ((12, 12, 12), 0.0, 1.0),
+         ((20, 20, 20), 1.2, 0.3)],
+    )
+    def test_float32_pick_matches_float64_reference(self, dims, beta, eps):
+        # After the float64 polish, the float32 scan's pick reaches the same
+        # critical point as a float64 scan that runs each start on its own.
+        # The instances sit near or below the threshold: polished on their
+        # own, their 8 starts reach 3 to 5 different critical points.
+        tm, _, _, _ = _masked_instance(Shape3(*dims), beta, eps, 0)
+        gen = RngSeed(0, 9).generator()
+        starts = [tuple(gen.standard_normal(n) for n in dims) for _ in range(8)]
+        polished = [
+            solve_critical_point(
+                tm, SolverConfig(tol=1e-12, max_iter=100_000, factors=pick[1:])
+            )
+            for pick in (scan_restarts(tm, starts, 30)[0], _scan64(tm, starts, 30))
+        ]
+        a, b = polished
+        assert abs(a.sigma - b.sigma) <= 1e-12
+        overlap = min(
+            abs(float(x @ y)) for x, y in zip((a.u, a.v, a.w), (b.u, b.v, b.w))
+        )
+        assert overlap > 1.0 - 1e-10
+
+    def test_zero_tensor(self):
+        # eps = 0 masks every entry: every restart keeps zero factors and
+        # sigma 0 instead of turning into NaN.
+        tm, _, _, _ = _masked_instance(Shape3(4, 5, 6), 2.0, 0.0, 5)
+        assert not np.any(tm.values)
+        gen = RngSeed(3).generator()
+        starts = [tuple(gen.standard_normal(n) for n in (4, 5, 6)) for _ in range(3)]
+        ranked = scan_restarts(tm, starts, 4)
+        assert [r[0] for r in ranked] == [0.0, 0.0, 0.0]
+        for r in ranked:
+            assert all(np.all(np.isfinite(f)) for f in r[1:])
 
     def test_rejects_bad_input(self):
         tm, _, _, _ = _masked_instance(Shape3(4, 5, 6), 2.0, 0.6, 5)

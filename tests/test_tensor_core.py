@@ -190,6 +190,22 @@ class TestContractions:
         stacked = np.stack([contract_one(t, mode, p) for p in P.T], axis=-1)
         np.testing.assert_allclose(got, stacked, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_float32_tensor_computes_in_float32(self, rng, mode):
+        # A float32 tensor stays float32, and contract_one casts its operand
+        # to the tensor's dtype; other inputs are cast to float64.
+        dims = (3, 4, 5)
+        vals = rng.standard_normal(dims)
+        t32 = Tensor3(vals.astype(np.float32))
+        assert t32.values.dtype == np.float32
+        assert Tensor3(vals.astype(np.float16)).values.dtype == np.float64
+        assert Tensor3(np.ones(dims, dtype=int)).values.dtype == np.float64
+        P = rng.standard_normal((dims[mode - 1], 2))
+        got = contract_one(t32, mode, P)
+        assert got.dtype == np.float32
+        exact = contract_one(Tensor3(vals), mode, P)
+        assert np.max(np.abs(got - exact)) <= 1e-5 * np.max(np.abs(exact))
+
     def test_consistency_chain_random_shapes(self, rng):
         # contract_one composes into every one-free-mode contraction, both
         # ways round, and from there into contract_full.
