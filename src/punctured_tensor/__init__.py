@@ -12,6 +12,7 @@ from .tensor_core import (
     generate_spiked,
     hadamard,
     sample_mask,
+    sample_punctured,
 )
 from .rank_one import (
     ConvergenceError,

@@ -30,11 +30,10 @@ from .tensor_core import (
     RngSeed,
     Shape3,
     SignalTriple,
-    Tensor3,
-    _scale_and_spike,
     generate_spiked,
     hadamard,
     sample_mask,
+    sample_punctured,
 )
 
 
@@ -119,16 +118,8 @@ def _solve_trial(cfg, shape, signal, epsilon, trial):
     settle in an uninformative basin even above the algorithmic threshold;
     picking the max-sigma restart is what "best approximation" asks for.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     gen = RngSeed(cfg.base_seed, trial + 1).generator()
-    # The masked tensor is built in the buffer of its normals: the same
-    # values as hadamard(generate_spiked(..., noise=g), mask) without copies.
-    values = gen.standard_normal(shape.dims)
-    keep = gen.random(shape.dims) < epsilon
-    _scale_and_spike(values, signal)
-    values *= keep
-    tm = Tensor3(values)
+    tm = sample_punctured(shape, signal, epsilon, gen)
     factors = reference = None
     if cfg.init == "random":
         inits = [
@@ -421,7 +412,7 @@ def run_validate(cfg: ExperimentConfig) -> tuple[list, bool]:
     # contraction, and every mode of contract_one on a vector and on a
     # two-column batch whose first column is that vector.
     worst = 0.0
-    from .tensor_core import contract_full, contract_one
+    from .tensor_core import Tensor3, contract_full, contract_one
 
     for _ in range(10):
         dims = tuple(int(d) for d in gen.integers(2, 7, size=3))

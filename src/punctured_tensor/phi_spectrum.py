@@ -22,6 +22,7 @@ from .tensor_core import (
     SignalTriple,
     Tensor3,
     check_factors,
+    check_float64,
     contract_one,
 )
 
@@ -110,7 +111,8 @@ def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
 
 
 def build_phi(tm: Tensor3, u, v, w) -> PhiMatrix:
-    """Assemble Phi from the already-masked tensor and the three factors."""
+    """Assemble Phi from the already-masked float64 tensor and the three factors."""
+    check_float64(tm, "build_phi")
     u, v, w = check_factors(tm.shape, (u, v, w))
     b12 = contract_one(tm, 3, w)
     b13 = contract_one(tm, 2, v)

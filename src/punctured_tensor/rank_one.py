@@ -18,6 +18,7 @@ from .tensor_core import (
     SignalTriple,
     Tensor3,
     check_factors,
+    check_float64,
     contract_one,
 )
 
@@ -96,8 +97,10 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     A reference also fixes the sign convention <x, u> >= 0 of the result.
 
     Raises ConvergenceError if the residual is still above cfg.tol after
-    cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes.
+    cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes,
+    and TypeError for a tensor that is not float64.
     """
+    check_float64(tm, "solve_critical_point")
     u, v, w = _initial_factors(tm, cfg)
 
     # Slack for the monotone-objective assertion grows with the number of
@@ -149,16 +152,23 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     tensor: the starts are stacked as columns of n x R batches, and each
     sweep makes two batched contract_one calls (modes 3 and 1) that stream
     the copy once each regardless of R; the per-restart products run as
-    einsum over the trailing R axis. The returned factors are float64,
-    renormalized, and sigma is tm(u, v, w) computed in float64 from them. The
-    points are not converged: the float64 solve_critical_point polishes the
-    best one. A restart whose contraction vanishes keeps zero factors and
-    sigma 0.
+    einsum over the trailing R axis. A lone start gets a zero column beside
+    it (zero columns stay zero): numpy would multiply a one-column batch by
+    gemv and reduce it along another axis, which rounds differently from the
+    batch a restart shares with others. The returned factors are float64,
+    renormalized, and sigma is tm(u, v, w) computed in float64 from them; tm
+    must be float64. The points are not converged: the float64
+    solve_critical_point polishes the best one. A restart whose contraction
+    vanishes keeps zero factors and sigma 0.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
+    check_float64(tm, "scan_restarts")
     starts = [check_factors(tm.shape, s) for s in inits]
+    R = len(starts)
     U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
+    if R == 1:
+        U, V, W = (np.pad(cols, ((0, 0), (0, 1))) for cols in (U, V, W))
     for cols in (U, V, W):
         _unit_columns(cols)
     U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
@@ -171,7 +181,7 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
         _unit_columns(V)
         W = np.einsum("jkr,jr->kr", contract_one(t32, 1, U), V)
         _unit_columns(W)
-    U, V, W = (cols.astype(np.float64) for cols in (U, V, W))
+    U, V, W = (cols[:, :R].astype(np.float64) for cols in (U, V, W))
     for cols in (U, V, W):
         _unit_columns(cols)
     sigma = np.einsum("ijr,ir,jr->r", contract_one(tm, 3, W), U, V)
@@ -182,6 +192,7 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
 
 def first_order_residual(tm: Tensor3, cp: CriticalPoint) -> float:
     """Max-norm residual of the first-order conditions at (sigma, u, v, w)."""
+    check_float64(tm, "first_order_residual")
     u, v, w = check_factors(tm.shape, (cp.u, cp.v, cp.w))
     return float(_residual_max(tm, cp.sigma, u, v, w))
 

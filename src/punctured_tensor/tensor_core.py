@@ -96,8 +96,7 @@ class MaskTensor:
             raise DimensionMismatchError(f"expected a 3-way array, got ndim={arr.ndim}")
         if arr.size and arr.max() > 1:
             raise ValueError("mask entries must be 0 or 1")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        _check_epsilon(epsilon)
         arr.flags.writeable = False
         self.bits = arr
         self.shape = Shape3(*arr.shape)
@@ -158,6 +157,16 @@ def _check_vector(vec, n: int, label: str, batch: bool = False) -> np.ndarray:
     return vec
 
 
+def check_float64(t: Tensor3, who: str) -> None:
+    """Raise TypeError unless t holds float64 values.
+
+    A float32 Tensor3 is only the restart scan's ranking copy; solvers,
+    residuals and Phi need float64 products.
+    """
+    if t.values.dtype != np.float64:
+        raise TypeError(f"{who} needs a float64 tensor, got {t.values.dtype}")
+
+
 def check_factors(shape: Shape3, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factors (u, v, w) as float64 vectors of lengths (n1, n2, n3)."""
     u, v, w = factors
@@ -202,13 +211,39 @@ def generate_spiked(
     return Tensor3(_scale_and_spike(g, signal))
 
 
-def sample_mask(shape: Shape3, epsilon: float, rng: RngSeed) -> MaskTensor:
-    """Sample an i.i.d. Bernoulli(epsilon) 0/1 mask."""
+def _check_epsilon(epsilon: float) -> None:
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    gen = rng.generator()
-    bits = (gen.random(shape.dims) < epsilon).astype(np.uint8)
+
+
+def _draw_keep(gen: np.random.Generator, shape: Shape3, epsilon: float) -> np.ndarray:
+    """I.i.d. Bernoulli(epsilon) pattern of kept entries (True where kept)."""
+    _check_epsilon(epsilon)
+    return gen.random(shape.dims) < epsilon
+
+
+def sample_mask(shape: Shape3, epsilon: float, rng: RngSeed) -> MaskTensor:
+    """Sample an i.i.d. Bernoulli(epsilon) 0/1 mask."""
+    bits = _draw_keep(rng.generator(), shape, epsilon).astype(np.uint8)
     return MaskTensor(bits, epsilon)
+
+
+def sample_punctured(
+    shape: Shape3, signal: SignalTriple, epsilon: float, gen: np.random.Generator
+) -> Tensor3:
+    """Draw G, then a Bernoulli(epsilon) mask, from gen; return the punctured
+    spiked tensor (beta * x (x) y (x) z + G / sqrt(N)) . mask.
+
+    The tensor is built in the buffer of G, without the unmasked copy: it
+    equals hadamard(generate_spiked(shape, signal, _, noise=G), mask) bit for
+    bit. The caller goes on drawing from gen (a trial's random starts).
+    """
+    signal.check_shape(shape)
+    values = gen.standard_normal(shape.dims)
+    keep = _draw_keep(gen, shape, epsilon)
+    _scale_and_spike(values, signal)
+    values *= keep
+    return Tensor3(values)
 
 
 def hadamard(t: Tensor3, m: MaskTensor) -> Tensor3:
