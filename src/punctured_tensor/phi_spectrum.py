@@ -21,6 +21,7 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    check_epsilon,
     check_factors,
     check_float64,
     contract_one,
@@ -44,14 +45,27 @@ class PhiMatrix:
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        N = self.shape.N
+        if arr.shape != (N, N):
+            raise DimensionMismatchError(
+                f"Phi has shape {arr.shape}, expected ({N}, {N})"
+            )
+        # The eigenvalue reduction relies on these blocks being exactly zero.
+        if any(np.any(arr[s, s]) for s in self.block_slices):
+            raise ValueError("Phi must have zero diagonal blocks")
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending and read-only: the one eigensolve that
-        the spectrum, the structural checks and the resolvent share."""
-        vals = np.linalg.eigvalsh(self.matrix)
+        the spectrum, the structural checks and the resolvent share.
+
+        The dense eigensolve runs on a reduced core of size
+        min(2 (N - n_L), N), n_L the largest of n1, n2, n3; the rest of the
+        spectrum is exactly zero (see _block_eigvalsh).
+        """
+        vals = _block_eigvalsh(self.shape, self.matrix)
         vals.flags.writeable = False
         return vals
 
@@ -96,6 +110,31 @@ class StructuralReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _block_eigvalsh(shape: Shape3, M: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of a symmetric M with zero diagonal blocks.
+
+    Let L be the largest block and "rest" the other two, m = N - n_L. Up to
+    a permutation M = [[A, C], [C^T, 0]] with A = M[rest, rest] and
+    C = M[rest, L]. With C^T = Q r (r is min(n_L, m) x m), the orthogonal
+    change of basis diag(I, [Q, Q_perp]) takes M to [[A, r^T], [r, 0]]
+    padded with n_L - min(n_L, m) zero rows and columns. So the spectrum is
+    that core's plus max(0, n_L - m) exact zeros.
+    """
+    dims = shape.dims
+    big = int(np.argmax(dims))
+    lo, hi = sum(dims[:big]), sum(dims[: big + 1])
+    rest = np.r_[0:lo, hi : shape.N]
+    m = rest.size
+    r = np.linalg.qr(M[lo:hi, rest], mode="r")  # M[L, rest] = C^T
+    k = r.shape[0]
+    core = np.zeros((m + k, m + k))
+    core[:m, :m] = M[np.ix_(rest, rest)]
+    core[m:, :m] = r
+    core[:m, m:] = r.T
+    vals = np.linalg.eigvalsh(core)
+    return np.sort(np.concatenate([vals, np.zeros(dims[big] - k)]))
+
+
 def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
     n1, n2, n3 = shape.dims
     N = shape.N
@@ -133,8 +172,7 @@ def build_phi0_streamed(
     the two are equal in distribution, not bit-for-bit.
     """
     u, v, w = check_factors(shape, (u, v, w))
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    check_epsilon(epsilon)
     n1, n2, n3 = shape.dims
     gen = rng.generator()
     scale = 1.0 / np.sqrt(shape.N)
@@ -227,12 +265,16 @@ def spike_decomposition_residual(
     epsilon: float,
 ) -> float:
     """Operator norm (largest singular value) of
-    E = Phi - eps*beta*V S V^T - Phi0; the claim is ||E|| -> 0."""
+    E = Phi - eps*beta*V S V^T - Phi0; the claim is ||E|| -> 0.
+
+    diag(S) = 0, so E has zero diagonal blocks like Phi, and its norm is its
+    largest |eigenvalue|.
+    """
     if phi.shape != phi0.shape:
         raise DimensionMismatchError("phi and phi0 have different shapes")
     V, S = spike_core(signal, cp)
     E = phi.matrix - epsilon * signal.beta * (V @ S @ V.T) - phi0.matrix
-    return float(np.linalg.norm(E, 2))
+    return float(np.max(np.abs(PhiMatrix(phi.shape, E).eigenvalues)))
 
 
 def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
@@ -249,8 +291,9 @@ def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue"
         )
-    N = phi.shape.N
-    return np.linalg.solve(phi.matrix - sigma * np.eye(N), rhs)
+    shifted = phi.matrix.copy()
+    shifted.flat[:: phi.shape.N + 1] -= sigma
+    return np.linalg.solve(shifted, rhs)
 
 
 def predict_factor_derivative(

@@ -96,7 +96,7 @@ class MaskTensor:
             raise DimensionMismatchError(f"expected a 3-way array, got ndim={arr.ndim}")
         if arr.size and arr.max() > 1:
             raise ValueError("mask entries must be 0 or 1")
-        _check_epsilon(epsilon)
+        check_epsilon(epsilon)
         arr.flags.writeable = False
         self.bits = arr
         self.shape = Shape3(*arr.shape)
@@ -177,6 +177,12 @@ def check_factors(shape: Shape3, factors) -> tuple[np.ndarray, np.ndarray, np.nd
     )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless epsilon, the kept fraction, lies in [0, 1]."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+
+
 def _scale_and_spike(g: np.ndarray, signal: SignalTriple) -> np.ndarray:
     """Turn standard normals g into g / sqrt(N) + beta * x (x) y (x) z in place."""
     g /= np.sqrt(sum(g.shape))
@@ -211,14 +217,9 @@ def generate_spiked(
     return Tensor3(_scale_and_spike(g, signal))
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-
-
 def _draw_keep(gen: np.random.Generator, shape: Shape3, epsilon: float) -> np.ndarray:
     """I.i.d. Bernoulli(epsilon) pattern of kept entries (True where kept)."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     return gen.random(shape.dims) < epsilon
 
 

@@ -38,6 +38,22 @@ def _instance(shape, beta, epsilon, seed, tol=1e-12):
     return tm, sig, cp
 
 
+class TestPhiMatrix:
+    @pytest.mark.parametrize("block", [0, 1, 2])
+    def test_rejects_nonzero_diagonal_block(self, block):
+        sh = Shape3(2, 3, 4)
+        M = np.zeros((sh.N, sh.N))
+        i = sum(sh.dims[:block])
+        M[i, i + 1] = M[i + 1, i] = 1.0
+        with pytest.raises(ValueError, match="zero diagonal blocks"):
+            PhiMatrix(sh, M)
+
+    @pytest.mark.parametrize("size", [(8, 8), (10, 10), (9, 8), (9,)])
+    def test_rejects_wrong_size(self, size):
+        with pytest.raises(DimensionMismatchError):
+            PhiMatrix(Shape3(2, 3, 4), np.zeros(size))
+
+
 class TestBuildPhi:
     def test_blocks_against_loops(self, rng):
         # Every block entry spelled out as an explicit sum over the
@@ -130,6 +146,13 @@ class TestStreamedPhi0:
         want = build_phi(Tensor3(dense), u, v, w).matrix
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("eps", [-0.1, 1.5])
+    def test_rejects_epsilon_out_of_range(self, eps):
+        sh = Shape3(2, 3, 4)
+        u, v, w = (np.ones(n) / np.sqrt(n) for n in sh.dims)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            build_phi0_streamed(sh, eps, u, v, w, RngSeed(0))
+
     def test_epsilon_zero_gives_zero(self):
         sh = Shape3(4, 5, 6)
         u, v, w = (np.ones(n) / np.sqrt(n) for n in sh.dims)
@@ -163,10 +186,8 @@ class TestEigenSpectrum:
         assert spec.zero_count >= 15
 
     def test_one_eigensolve_per_phi(self, monkeypatch):
-        tm, _, cp = _instance(Shape3(6, 7, 8), 3.0, 0.5, 6)
-        phi = build_phi(tm, cp.u, cp.v, cp.w)
-        with pytest.raises(ValueError):
-            phi.matrix[0, 1] = 1.0  # read-only, so the cached spectrum holds
+        # One eigvalsh per Phi, on the reduced core: of size N at 6x7x8, and
+        # 2 * (3 + 4) = 14 at 3x4x20, where n3 exceeds n1 + n2.
         calls = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -175,11 +196,54 @@ class TestEigenSpectrum:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        eigen_spectrum(phi)
-        check_structural_eigenpairs(phi, cp)
-        for entry in ((0, 0, 0), (1, 2, 3), (5, 6, 7)):
-            predict_factor_derivative(phi, cp, entry, 1)
-        assert calls == [(21, 21)]
+        for dims, core in (((6, 7, 8), 21), ((3, 4, 20), 14)):
+            tm, _, cp = _instance(Shape3(*dims), 3.0, 0.5, 6)
+            phi = build_phi(tm, cp.u, cp.v, cp.w)
+            with pytest.raises(ValueError):
+                phi.matrix[0, 1] = 1.0  # read-only, so the cached spectrum holds
+            calls.clear()
+            eigen_spectrum(phi)
+            check_structural_eigenpairs(phi, cp)
+            for entry in ((0, 0, 0), (1, 2, 3), tuple(n - 1 for n in dims)):
+                predict_factor_derivative(phi, cp, entry, 1)
+            assert calls == [(core, core)]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        dims=st.one_of(
+            st.integers(1, 40).map(lambda n: (n, n, n)),
+            st.tuples(*[st.integers(1, 40)] * 3).flatmap(st.permutations),
+        ),
+        eps=st.sampled_from([0.0, 0.05, 1.0]),
+        rank=st.sampled_from([None, 1, 2]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reduced_core_matches_dense(self, dims, eps, rank, seed):
+        # Random symmetric matrices with zero diagonal blocks, with each mode
+        # as the largest and cube shapes. With `rank` set, the blocks between
+        # the largest mode L and the rest are a rank-`rank` product, so
+        # C = M[rest, L] is rank deficient at every shape.
+        sh = Shape3(*dims)
+        N, n_L = sh.N, max(dims)
+        gen = np.random.default_rng(seed)
+        M = np.triu(gen.standard_normal((N, N)) * (gen.random((N, N)) < eps))
+        M += M.T
+        lo = np.cumsum((0,) + sh.dims)
+        for a, b in zip(lo[:-1], lo[1:]):
+            M[a:b, a:b] = 0.0
+        if rank is not None:
+            big = dims.index(n_L)
+            L = np.arange(lo[big], lo[big + 1])
+            rest = np.setdiff1d(np.arange(N), L)
+            C = gen.standard_normal((rest.size, rank)) @ gen.standard_normal((rank, n_L))
+            M[np.ix_(rest, L)] = C
+            M[np.ix_(L, rest)] = C.T
+        vals = PhiMatrix(sh, M).eigenvalues
+        ref = np.linalg.eigvalsh(M)
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.max(np.abs(vals - ref)) <= 4 * N * np.finfo(float).eps * scale
+        assert np.count_nonzero(vals == 0.0) >= max(0, 2 * n_L - N)
 
 
 class TestStructuralEigenpairs:
@@ -257,6 +321,10 @@ class TestSpikeDecomposition:
             norms.append(
                 spike_decomposition_residual(phi, sig, cp, phi0, m.epsilon)
             )
+            # The eigenvalue route must give the largest singular value.
+            V, S = spike_core(sig, cp)
+            E = phi.matrix - m.epsilon * sig.beta * (V @ S @ V.T) - phi0.matrix
+            assert abs(norms[-1] - np.linalg.norm(E, 2)) <= 1e-12
         assert norms[1] < 4.0 * 0.5  # far below eps * beta scale
         assert norms[1] < norms[0] + 0.1
 
