@@ -30,6 +30,9 @@ from .tensor_core import (
     RngSeed,
     Shape3,
     SignalTriple,
+    Tensor3,
+    contract_full,
+    contract_one,
     generate_spiked,
     hadamard,
     sample_mask,
@@ -412,8 +415,6 @@ def run_validate(cfg: ExperimentConfig) -> tuple[list, bool]:
     # contraction, and every mode of contract_one on a vector and on a
     # two-column batch whose first column is that vector.
     worst = 0.0
-    from .tensor_core import Tensor3, contract_full, contract_one
-
     for _ in range(10):
         dims = tuple(int(d) for d in gen.integers(2, 7, size=3))
         t = Tensor3(gen.standard_normal(dims))

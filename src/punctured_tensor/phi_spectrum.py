@@ -23,7 +23,6 @@ from .tensor_core import (
     Tensor3,
     check_epsilon,
     check_factors,
-    check_float64,
     contract_one,
 )
 
@@ -44,7 +43,11 @@ class PhiMatrix:
     matrix: np.ndarray  # (N, N), symmetric, zero diagonal blocks; read-only
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.matrix, dtype=np.float64)
+        # A writable input stays the caller's, so it is copied; a read-only
+        # one (what the builders pass) is kept without a second N x N array.
+        arr = np.asarray(self.matrix, dtype=np.float64, order="C")
+        if arr.flags.writeable:
+            arr = arr.copy()
         N = self.shape.N
         if arr.shape != (N, N):
             raise DimensionMismatchError(
@@ -146,12 +149,12 @@ def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
     phi[s2, s1] = b12.T
     phi[s3, s1] = b13.T
     phi[s3, s2] = b23.T
+    phi.flags.writeable = False
     return PhiMatrix(shape, phi)
 
 
 def build_phi(tm: Tensor3, u, v, w) -> PhiMatrix:
-    """Assemble Phi from the already-masked float64 tensor and the three factors."""
-    check_float64(tm, "build_phi")
+    """Assemble Phi from the already-masked tensor and the three factors."""
     u, v, w = check_factors(tm.shape, (u, v, w))
     b12 = contract_one(tm, 3, w)
     b13 = contract_one(tm, 2, v)

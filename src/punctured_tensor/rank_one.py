@@ -17,9 +17,11 @@ from .tensor_core import (
     DimensionMismatchError,
     SignalTriple,
     Tensor3,
+    _contract,
     check_factors,
-    check_float64,
+    contract_full,
     contract_one,
+    hadamard,
 )
 
 
@@ -97,10 +99,8 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     A reference also fixes the sign convention <x, u> >= 0 of the result.
 
     Raises ConvergenceError if the residual is still above cfg.tol after
-    cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes,
-    and TypeError for a tensor that is not float64.
+    cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes.
     """
-    check_float64(tm, "solve_critical_point")
     u, v, w = _initial_factors(tm, cfg)
 
     # Slack for the monotone-objective assertion grows with the number of
@@ -148,22 +148,21 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     """Advance several initializations jointly for a fixed number of sweeps.
 
     Returns [(sigma, u, v, w), ...] sorted by descending sigma. The scan only
-    ranks the restarts, so it runs in float32 on one float32 copy of the
-    tensor: the starts are stacked as columns of n x R batches, and each
-    sweep makes two batched contract_one calls (modes 3 and 1) that stream
-    the copy once each regardless of R; the per-restart products run as
-    einsum over the trailing R axis. A lone start gets a zero column beside
-    it (zero columns stay zero): numpy would multiply a one-column batch by
-    gemv and reduce it along another axis, which rounds differently from the
-    batch a restart shares with others. The returned factors are float64,
-    renormalized, and sigma is tm(u, v, w) computed in float64 from them; tm
-    must be float64. The points are not converged: the float64
-    solve_critical_point polishes the best one. A restart whose contraction
-    vanishes keeps zero factors and sigma 0.
+    ranks the restarts, so it runs in float32 on a private float32 copy of
+    the tensor (ValueError if an entry overflows it): the starts are stacked
+    as columns of n x R batches, and each sweep makes two batched
+    contractions (modes 3 and 1) that stream the copy once each regardless
+    of R; the per-restart products run as einsum over the trailing R axis.
+    A lone start gets a zero column beside it (zero columns stay zero):
+    numpy would multiply a one-column batch by gemv and reduce it along
+    another axis, which rounds differently from the batch a restart shares
+    with others. The returned factors are float64, renormalized, and sigma
+    is tm(u, v, w) computed in float64 from them. The points are not
+    converged: solve_critical_point polishes the best one. A restart whose
+    contraction vanishes keeps zero factors and sigma 0.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
-    check_float64(tm, "scan_restarts")
     starts = [check_factors(tm.shape, s) for s in inits]
     R = len(starts)
     U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
@@ -172,14 +171,16 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     for cols in (U, V, W):
         _unit_columns(cols)
     U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
-    t32 = Tensor3(tm.values.astype(np.float32))
+    A32 = tm.values.astype(np.float32)
+    if not np.all(np.isfinite(A32)):
+        raise ValueError("tensor entries must be finite")
     for _ in range(sweeps):
-        T3 = contract_one(t32, 3, W)
+        T3 = _contract(A32, 3, W)
         U = np.einsum("ijr,jr->ir", T3, V)
         _unit_columns(U)
         V = np.einsum("ijr,ir->jr", T3, U)
         _unit_columns(V)
-        W = np.einsum("jkr,jr->kr", contract_one(t32, 1, U), V)
+        W = np.einsum("jkr,jr->kr", _contract(A32, 1, U), V)
         _unit_columns(W)
     U, V, W = (cols[:, :R].astype(np.float64) for cols in (U, V, W))
     for cols in (U, V, W):
@@ -192,7 +193,6 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
 
 def first_order_residual(tm: Tensor3, cp: CriticalPoint) -> float:
     """Max-norm residual of the first-order conditions at (sigma, u, v, w)."""
-    check_float64(tm, "first_order_residual")
     u, v, w = check_factors(tm.shape, (cp.u, cp.v, cp.w))
     return float(_residual_max(tm, cp.sigma, u, v, w))
 
@@ -218,8 +218,6 @@ def heuristic1_diagnostic(t: Tensor3, m, cp: CriticalPoint) -> float:
     Under the asymptotic mask-independence heuristic the gap vanishes as the
     dimensions grow; this is a testable diagnostic, not a proved fact.
     """
-    from .tensor_core import contract_full, hadamard
-
     masked = contract_full(hadamard(t, m), cp.u, cp.v, cp.w)
     plain = contract_full(t, cp.u, cp.v, cp.w)
     return abs(masked - m.epsilon * plain)

@@ -62,17 +62,12 @@ class RngSeed:
 
 
 class Tensor3:
-    """Immutable dense order-3 real tensor.
-
-    Values given as float32 stay float32; everything else is cast to float64.
-    """
+    """Immutable dense order-3 real tensor; every input is cast to float64."""
 
     __slots__ = ("values", "shape")
 
     def __init__(self, values):
-        arr = np.asarray(values)
-        dtype = np.float32 if arr.dtype == np.float32 else np.float64
-        arr = np.ascontiguousarray(arr, dtype=dtype)
+        arr = np.ascontiguousarray(values, dtype=np.float64)
         if arr.ndim != 3:
             raise DimensionMismatchError(f"expected a 3-way array, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
@@ -155,16 +150,6 @@ def _check_vector(vec, n: int, label: str, batch: bool = False) -> np.ndarray:
         expected = f"({n},) or ({n}, R)" if batch else f"({n},)"
         raise DimensionMismatchError(f"{label} has shape {vec.shape}, expected {expected}")
     return vec
-
-
-def check_float64(t: Tensor3, who: str) -> None:
-    """Raise TypeError unless t holds float64 values.
-
-    A float32 Tensor3 is only the restart scan's ranking copy; solvers,
-    residuals and Phi need float64 products.
-    """
-    if t.values.dtype != np.float64:
-        raise TypeError(f"{who} needs a float64 tensor, got {t.values.dtype}")
 
 
 def check_factors(shape: Shape3, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -267,15 +252,21 @@ def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
 
     mode 3 gives the n1 x n2 matrix sum_k t_ijk p_k; mode 2 gives n1 x n3;
     mode 1 gives n2 x n3. p is a vector (n_mode,) or a batch (n_mode, R) of
-    R vectors; a batch adds a trailing R axis to the result. The product is
-    computed in the tensor's dtype (p is cast to it): float64 everywhere
-    except the float32 copy that scan_restarts ranks its restarts on.
+    R vectors; a batch adds a trailing R axis to the result.
     """
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     p = _check_vector(p, t.shape.dim(mode), f"mode-{mode} operand", batch=True)
-    n1, n2, n3 = t.shape.dims
-    A = t.values
+    return _contract(t.values, mode, p)
+
+
+def _contract(A: np.ndarray, mode: int, p: np.ndarray) -> np.ndarray:
+    """contract_one's arithmetic on a checked 3-way array A, in A's dtype.
+
+    p is cast to A's dtype. Besides contract_one, only scan_restarts calls
+    it, on its private float32 copy of the tensor.
+    """
+    n1, n2, n3 = A.shape
     p = p.astype(A.dtype, copy=False)
     if mode == 1:
         return (A.reshape(n1, n2 * n3).T @ p).reshape((n2, n3) + p.shape[1:])

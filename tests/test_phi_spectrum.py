@@ -53,6 +53,21 @@ class TestPhiMatrix:
         with pytest.raises(DimensionMismatchError):
             PhiMatrix(Shape3(2, 3, 4), np.zeros(size))
 
+    def test_keeps_a_private_copy(self):
+        # The caller's array stays writable, and writing to it changes
+        # neither the matrix nor the eigenvalues. A read-only matrix, as the
+        # builders pass, is kept without a copy.
+        sh = Shape3(4, 5, 6)
+        M = np.zeros((sh.N, sh.N))
+        M[0, 4] = M[4, 0] = 2.0
+        want = PhiMatrix(sh, M.copy()).eigenvalues
+        phi = PhiMatrix(sh, M)
+        M[0, 4] = M[4, 0] = 1.0
+        assert phi.matrix[0, 4] == 2.0
+        np.testing.assert_array_equal(phi.eigenvalues, want)
+        assert not phi.matrix.flags.writeable
+        assert PhiMatrix(sh, phi.matrix).matrix is phi.matrix
+
 
 class TestBuildPhi:
     def test_blocks_against_loops(self, rng):

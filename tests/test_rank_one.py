@@ -11,7 +11,6 @@ from punctured_tensor import (
     SolverConfig,
     Tensor3,
     alignments,
-    build_phi,
     generate_spiked,
     hadamard,
     heuristic1_diagnostic,
@@ -162,25 +161,6 @@ class TestSolverControls:
         diffs = np.diff(sigmas)
         assert np.all(diffs >= -1e-12)
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda t, cp: solve_critical_point(t, SolverConfig(factors=(cp.u, cp.v, cp.w))),
-            lambda t, cp: scan_restarts(t, [(cp.u, cp.v, cp.w)], 2),
-            lambda t, cp: first_order_residual(t, cp),
-            lambda t, cp: build_phi(t, cp.u, cp.v, cp.w),
-        ],
-        ids=["solve", "scan", "residual", "build_phi"],
-    )
-    def test_float32_tensor_rejected(self, call):
-        # A float32 Tensor3 is the scan's private ranking copy; code that
-        # needs float64 products refuses it instead of running in float32.
-        tm, _, _, sig = _masked_instance(Shape3(6, 7, 8), 3.0, 0.8, 2)
-        cp = solve_critical_point(tm, SolverConfig(reference=sig))
-        call(tm, cp)
-        with pytest.raises(TypeError, match="float64"):
-            call(Tensor3(tm.values.astype(np.float32)), cp)
-
 
 def _scan64(tm, starts, sweeps):
     """Float64 reference scan: each start alone; returns the max-sigma one."""
@@ -272,6 +252,15 @@ class TestScanRestarts:
             scan_restarts(tm, [good, (np.ones(4), np.ones(5), np.ones(7))], 3)
         with pytest.raises(ValueError):
             scan_restarts(tm, [good], 0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    def test_rejects_tensor_that_overflows_float32(self):
+        # The float64 tensor is finite, but its float32 ranking copy is not.
+        vals = np.zeros((4, 5, 6))
+        vals[1, 2, 3] = 1e39
+        good = tuple(np.ones(n) for n in (4, 5, 6))
+        with pytest.raises(ValueError, match="finite"):
+            scan_restarts(Tensor3(vals), [good], 3)
 
 
 class TestAlignments:

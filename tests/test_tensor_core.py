@@ -13,7 +13,7 @@ from punctured_tensor import (
     hadamard,
     sample_mask,
 )
-from punctured_tensor.tensor_core import DimensionMismatchError
+from punctured_tensor.tensor_core import DimensionMismatchError, _contract
 
 from conftest import triple_loop_full, triple_loop_mode, triple_loop_one
 
@@ -190,18 +190,29 @@ class TestContractions:
         stacked = np.stack([contract_one(t, mode, p) for p in P.T], axis=-1)
         np.testing.assert_allclose(got, stacked, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, int])
+    def test_any_input_is_held_as_float64(self, rng, dtype):
+        # Tensor3 casts every input to float64, so contractions and masks
+        # on it equal those on the same values given as float64.
+        dims = (4, 5, 6)
+        vals = (4 * rng.standard_normal(dims)).astype(dtype)
+        t, t64 = Tensor3(vals), Tensor3(vals.astype(np.float64))
+        assert t.values.dtype == np.float64
+        a, b, c = (rng.standard_normal(n) for n in dims)
+        assert contract_full(t, a, b, c) == contract_full(t64, a, b, c)
+        m = sample_mask(t.shape, 0.5, RngSeed(1))
+        masked = hadamard(t, m).values
+        assert masked.dtype == np.float64
+        np.testing.assert_array_equal(masked, hadamard(t64, m).values)
+
     @pytest.mark.parametrize("mode", [1, 2, 3])
     def test_float32_tensor_computes_in_float32(self, rng, mode):
-        # A float32 tensor stays float32, and contract_one casts its operand
-        # to the tensor's dtype; other inputs are cast to float64.
+        # The private kernel computes in its array's dtype (the operand is
+        # cast to it): float32 only for the restart scan's ranking copy.
         dims = (3, 4, 5)
         vals = rng.standard_normal(dims)
-        t32 = Tensor3(vals.astype(np.float32))
-        assert t32.values.dtype == np.float32
-        assert Tensor3(vals.astype(np.float16)).values.dtype == np.float64
-        assert Tensor3(np.ones(dims, dtype=int)).values.dtype == np.float64
         P = rng.standard_normal((dims[mode - 1], 2))
-        got = contract_one(t32, mode, P)
+        got = _contract(vals.astype(np.float32), mode, P)
         assert got.dtype == np.float32
         exact = contract_one(Tensor3(vals), mode, P)
         assert np.max(np.abs(got - exact)) <= 1e-5 * np.max(np.abs(exact))
