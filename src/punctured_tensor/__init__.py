@@ -7,12 +7,14 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    TrialDraw,
     contract_full,
     contract_one,
+    draw_trial,
     generate_spiked,
     hadamard,
+    puncture,
     sample_mask,
-    sample_punctured,
 )
 from .rank_one import (
     ConvergenceError,

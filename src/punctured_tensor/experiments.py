@@ -2,7 +2,10 @@
 
 Every experiment is a pure function of its config: trial t draws from the
 substream RngSeed(base_seed, t + 1) and the planted signal from substream 0,
-so trial execution order never changes the outputs.
+so trial execution order never changes the outputs. One draw per trial
+(noise, mask uniforms, random starts) serves the whole grid: each epsilon
+punctures it at its own level, and each beta of a spike curve adds its own
+spike to the same noise. Every grid value gives what a run of it alone gives.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ from .tensor_core import (
     Tensor3,
     contract_full,
     contract_one,
+    draw_trial,
     generate_spiked,
     hadamard,
+    puncture,
     sample_mask,
-    sample_punctured,
 )
 
 
@@ -112,8 +116,23 @@ def _signal(cfg: ExperimentConfig, shape: Shape3, beta=None) -> SignalTriple:
     )
 
 
-def _solve_trial(cfg, shape, signal, epsilon, trial):
-    """One trial: fresh noise + mask from the trial substream, one solve.
+def _draw(cfg, shape, signal, grid, trial):
+    """Trial `trial`'s draw for every epsilon of grid, and its random starts
+    (None for planted init), drawn next from the same generator."""
+    gen = RngSeed(cfg.base_seed, trial + 1).generator()
+    draw = draw_trial(shape, signal, grid, gen)
+    inits = None
+    if cfg.init == "random":
+        inits = [
+            tuple(gen.standard_normal(n) for n in shape.dims)
+            for _ in range(max(1, cfg.restarts))
+        ]
+    return draw, inits
+
+
+def _solve(cfg, tm, inits, signal):
+    """Solve the punctured tensor tm from the random starts inits, or from
+    the planted signal when inits is None.
 
     Random init with restarts > 1 approximates the global best rank-one fit:
     several random starts are advanced jointly for a short scan and only the
@@ -121,44 +140,56 @@ def _solve_trial(cfg, shape, signal, epsilon, trial):
     settle in an uninformative basin even above the algorithmic threshold;
     picking the max-sigma restart is what "best approximation" asks for.
     """
-    gen = RngSeed(cfg.base_seed, trial + 1).generator()
-    tm = sample_punctured(shape, signal, epsilon, gen)
     factors = reference = None
-    if cfg.init == "random":
-        inits = [
-            tuple(gen.standard_normal(n) for n in shape.dims)
-            for _ in range(max(1, cfg.restarts))
-        ]
-        if len(inits) > 1:
-            factors = scan_restarts(tm, inits, cfg.scan_sweeps)[0][1:]
-        else:
-            factors = inits[0]
-    else:
+    if inits is None:
         reference = signal
+    elif len(inits) > 1:
+        factors = scan_restarts(tm, inits, cfg.scan_sweeps)[0][1:]
+    else:
+        factors = inits[0]
     scfg = SolverConfig(
         tol=cfg.tol, max_iter=cfg.max_iter, factors=factors, reference=reference
     )
-    cp = solve_critical_point(tm, scfg)
-    return cp, tm
+    return solve_critical_point(tm, scfg)
 
 
-def _trials(cfg, shape, signal, epsilon):
-    """Run cfg.trials trials at one epsilon.
+def _trial(cfg, shape, drawn, points, trial):
+    """Draw trial `trial` once, with signal `drawn`, and solve it at every
+    grid point (signal, epsilon).
 
-    Returns the (trial, sigma, q1, q2, q3) rows of the trials that converged
-    and the number that failed (non-convergence, or a degenerate contraction
-    at tiny epsilon); a failed trial is counted, never dropped silently.
+    Returns, per point, the row (trial, sigma, q1, q2, q3), or None when the
+    solve failed. A point whose signal is not `drawn` (a beta of the spike
+    curve; `drawn` then has beta 0) adds its own spike to the draw. Each
+    punctured tensor dies with its solve, and the draw when this returns,
+    before the next trial draws.
     """
+    draw, inits = _draw(cfg, shape, drawn, [eps for _, eps in points], trial)
     rows = []
-    failed = 0
-    for t in range(cfg.trials):
+    for signal, eps in points:
+        respike = None if signal is drawn else signal
         try:
-            cp, _ = _solve_trial(cfg, shape, signal, epsilon, t)
+            cp = _solve(cfg, puncture(draw, eps, respike), inits, signal)
         except (ConvergenceError, DegeneratePointError):
-            failed += 1
+            rows.append(None)
             continue
-        rows.append((t, cp.sigma) + alignments(cp, signal))
-    return rows, failed
+        rows.append((trial, cp.sigma) + alignments(cp, signal))
+    return rows
+
+
+def _trials(cfg, shape, drawn, points):
+    """Run cfg.trials trials, each drawn once for all grid points.
+
+    Returns, per point, the (trial, sigma, q1, q2, q3) rows of the trials
+    that converged and the number that failed (non-convergence, or a
+    degenerate contraction at tiny epsilon); a failed trial is counted,
+    never dropped silently.
+    """
+    per_trial = [_trial(cfg, shape, drawn, points, t) for t in range(cfg.trials)]
+    results = []
+    for g in range(len(points)):
+        rows = [trial_rows[g] for trial_rows in per_trial]
+        results.append(([r for r in rows if r is not None], rows.count(None)))
+    return results
 
 
 def _write_csv(path: Path, header, rows):
@@ -202,7 +233,10 @@ def run_esd(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out or ".")
     shape = cfg.resolve_shape()
     signal = _signal(cfg, shape)
-    cp, tm = _solve_trial(cfg, shape, signal, cfg.epsilon, 0)
+    draw, inits = _draw(cfg, shape, signal, (cfg.epsilon,), 0)
+    tm = puncture(draw, cfg.epsilon)
+    del draw  # the unpunctured tensor is not needed for Phi
+    cp = _solve(cfg, tm, inits, signal)
     phi = phi_spectrum.build_phi(tm, cp.u, cp.v, cp.w)
     spec = phi_spectrum.eigen_spectrum(phi)
     hist = phi_spectrum.esd_histogram(spec, bins=cfg.bins, exclude_zeros=True)
@@ -266,17 +300,17 @@ def run_spike_curve(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out or ".")
     if cfg.beta_grid is None:
         raise ValueError("spike-curve needs a beta grid")
-    shape = cfg.resolve_shape() if cfg.empirical else None
+    empirical = [([], "")] * len(cfg.beta_grid)
+    if cfg.empirical:
+        shape = cfg.resolve_shape()
+        points = [(_signal(cfg, shape, beta=b), cfg.epsilon) for b in cfg.beta_grid]
+        empirical = _trials(cfg, shape, _signal(cfg, shape, beta=0.0), points)
     rows = []
-    for beta in cfg.beta_grid:
+    for beta, (raw, failed) in zip(cfg.beta_grid, empirical):
         if beta <= 0:
             pred = rmt_theory.INFEASIBLE
         else:
             pred = solve_spike(cfg.model_params(beta=beta))
-        raw, failed = [], ""
-        if cfg.empirical:
-            signal = _signal(cfg, shape, beta=beta)
-            raw, failed = _trials(cfg, shape, signal, cfg.epsilon)
         sigma = pred.sigma_inf if pred.feasible else 0.0
         rows.append(
             [_fmt(beta), _fmt(sigma), _fmt(pred.q1), _fmt(pred.q2), _fmt(pred.q3)]
@@ -299,15 +333,16 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out or ".")
     if cfg.epsilon_grid is None:
         raise ValueError("epsilon-sweep needs an epsilon grid")
+    for eps in cfg.epsilon_grid:
+        if not 0.0 < eps <= 1.0:
+            raise ValueError(f"epsilon grid value {eps} outside (0, 1]")
     shape = cfg.resolve_shape()
     signal = _signal(cfg, shape)
     rows = []
     raw_rows = []
-    for eps in cfg.epsilon_grid:
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"epsilon grid value {eps} outside (0, 1]")
+    results = _trials(cfg, shape, signal, [(signal, eps) for eps in cfg.epsilon_grid])
+    for eps, (raw, failed) in zip(cfg.epsilon_grid, results):
         pred = solve_spike(cfg.model_params(epsilon=eps))
-        raw, failed = _trials(cfg, shape, signal, eps)
         raw_rows += [[_fmt(eps), t] + [_fmt(x) for x in vals] for t, *vals in raw]
         rows.append(
             [_fmt(eps), _fmt(pred.q1), _fmt(pred.q2), _fmt(pred.q3)]

@@ -171,9 +171,12 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     for cols in (U, V, W):
         _unit_columns(cols)
     U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
-    A32 = tm.values.astype(np.float32)
+    with np.errstate(over="ignore"):
+        A32 = tm.values.astype(np.float32)
     if not np.all(np.isfinite(A32)):
-        raise ValueError("tensor entries must be finite")
+        raise ValueError(
+            "tensor entries must be finite in float32: the float32 copy overflowed"
+        )
     for _ in range(sweeps):
         T3 = _contract(A32, 3, W)
         U = np.einsum("ijr,jr->ir", T3, V)

@@ -2,6 +2,12 @@
 
 Entries of a tensor with dimensions (n1, n2, n3) are stored in C order,
 i.e. the third index k runs fastest, then j, then i.
+
+A Monte Carlo trial is drawn once for a whole grid of mask levels:
+draw_trial draws the noise and one uniform U per entry, and puncture then
+keeps the entries with U < epsilon at any epsilon of the grid. The grid
+values share the draw, so they are coupled: a higher epsilon keeps a
+superset of the entries a lower one keeps.
 """
 
 from __future__ import annotations
@@ -67,7 +73,11 @@ class Tensor3:
     __slots__ = ("values", "shape")
 
     def __init__(self, values):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
+        # A writable input stays the caller's, so it is copied; a read-only
+        # one (what the builders pass) is kept without a second tensor.
+        arr = np.asarray(values, dtype=np.float64, order="C")
+        if arr.flags.writeable:
+            arr = arr.copy()
         if arr.ndim != 3:
             raise DimensionMismatchError(f"expected a 3-way array, got ndim={arr.ndim}")
         if not np.all(np.isfinite(arr)):
@@ -168,14 +178,28 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
+def _spike(signal: SignalTriple) -> np.ndarray | None:
+    """beta * x (x) y (x) z in a fresh buffer, or None when beta is 0."""
+    if signal.beta == 0.0:
+        return None
+    spike = np.einsum("i,j,k->ijk", signal.x, signal.y, signal.z)
+    spike *= signal.beta
+    return spike
+
+
 def _scale_and_spike(g: np.ndarray, signal: SignalTriple) -> np.ndarray:
     """Turn standard normals g into g / sqrt(N) + beta * x (x) y (x) z in place."""
     g /= np.sqrt(sum(g.shape))
-    if signal.beta != 0.0:
-        spike = np.einsum("i,j,k->ijk", signal.x, signal.y, signal.z)
-        spike *= signal.beta
+    spike = _spike(signal)
+    if spike is not None:
         g += spike
     return g
+
+
+def _frozen(values: np.ndarray) -> Tensor3:
+    """Tensor3 of a buffer the caller owns and hands over, without a copy."""
+    values.flags.writeable = False
+    return Tensor3(values)
 
 
 def generate_spiked(
@@ -199,37 +223,96 @@ def generate_spiked(
             raise DimensionMismatchError(
                 f"noise override has shape {g.shape}, expected {shape.dims}"
             )
-    return Tensor3(_scale_and_spike(g, signal))
-
-
-def _draw_keep(gen: np.random.Generator, shape: Shape3, epsilon: float) -> np.ndarray:
-    """I.i.d. Bernoulli(epsilon) pattern of kept entries (True where kept)."""
-    check_epsilon(epsilon)
-    return gen.random(shape.dims) < epsilon
+    return _frozen(_scale_and_spike(g, signal))
 
 
 def sample_mask(shape: Shape3, epsilon: float, rng: RngSeed) -> MaskTensor:
     """Sample an i.i.d. Bernoulli(epsilon) 0/1 mask."""
-    bits = _draw_keep(rng.generator(), shape, epsilon).astype(np.uint8)
+    check_epsilon(epsilon)
+    bits = (rng.generator().random(shape.dims) < epsilon).astype(np.uint8)
     return MaskTensor(bits, epsilon)
 
 
-def sample_punctured(
-    shape: Shape3, signal: SignalTriple, epsilon: float, gen: np.random.Generator
-) -> Tensor3:
-    """Draw G, then a Bernoulli(epsilon) mask, from gen; return the punctured
-    spiked tensor (beta * x (x) y (x) z + G / sqrt(N)) . mask.
+# Uniforms are drawn and ranked in chunks of this many entries, so that no
+# float64 copy of U is held: drawing in pieces leaves the generator's stream
+# and final state exactly as one draw of the whole tensor would.
+_RANK_CHUNK = 1 << 16
 
-    The tensor is built in the buffer of G, without the unmasked copy: it
-    equals hadamard(generate_spiked(shape, signal, _, noise=G), mask) bit for
-    bit. The caller goes on drawing from gen (a trial's random starts).
+
+@dataclass(frozen=True)
+class TrialDraw:
+    """One trial's random draws, shared by every mask level of a grid.
+
+    values is G / sqrt(N) + beta * x (x) y (x) z (beta of the signal it was
+    drawn with), float64 and read-only. grid holds the distinct levels,
+    ascending. rank[i, j, k] is the number of levels <= U[i, j, k], for the
+    entry's uniform U, so U < grid[g] exactly when rank <= g. rank is uint8
+    up to 255 levels and a wider unsigned type beyond.
+    """
+
+    values: np.ndarray
+    rank: np.ndarray
+    grid: tuple
+    beta: float
+
+
+def draw_trial(
+    shape: Shape3, signal: SignalTriple, grid, gen: np.random.Generator
+) -> TrialDraw:
+    """Draw G, then one uniform U per entry, from gen, for every epsilon of grid.
+
+    puncture(draw, epsilon) equals, bit for bit, the spiked tensor
+    generate_spiked(shape, signal, _, noise=G) punctured by the mask
+    U < epsilon. The caller goes on drawing from gen (a trial's random
+    starts), which is then where one draw of all of G and of all of U would
+    leave it. Ranking U costs one comparison per entry and grid level.
     """
     signal.check_shape(shape)
+    levels = sorted(set(float(eps) for eps in grid))
+    if not levels:
+        raise ValueError("the grid needs at least one epsilon")
+    for eps in levels:
+        check_epsilon(eps)
     values = gen.standard_normal(shape.dims)
-    keep = _draw_keep(gen, shape, epsilon)
+    rank = np.zeros(values.size, dtype=np.min_scalar_type(len(levels)))
+    above = np.empty(min(_RANK_CHUNK, rank.size), dtype=bool)
+    for start in range(0, rank.size, _RANK_CHUNK):
+        u = gen.random(min(_RANK_CHUNK, rank.size - start))
+        r, ge = rank[start : start + u.size], above[: u.size]
+        for eps in levels:
+            np.greater_equal(u, eps, out=ge)
+            r += ge.view(np.uint8)
     _scale_and_spike(values, signal)
-    values *= keep
-    return Tensor3(values)
+    values.flags.writeable = False
+    rank = rank.reshape(shape.dims)
+    rank.flags.writeable = False
+    return TrialDraw(values, rank, tuple(levels), float(signal.beta))
+
+
+def puncture(
+    draw: TrialDraw, epsilon: float, signal: SignalTriple | None = None
+) -> Tensor3:
+    """The drawn tensor with every entry whose U >= epsilon set to zero.
+
+    epsilon must be a level of draw's grid. With a signal, its spike
+    beta * x (x) y (x) z is added first, by the operations of
+    generate_spiked, so that a grid of beta values shares one draw too; the
+    draw must then hold no spike (beta 0).
+    """
+    if epsilon not in draw.grid:
+        raise ValueError(f"epsilon {epsilon} is not a level of the draw's grid")
+    keep = draw.rank <= draw.grid.index(epsilon)
+    spike = None
+    if signal is not None:
+        if draw.beta != 0.0:
+            raise ValueError("the draw already holds a spike")
+        signal.check_shape(Shape3(*draw.values.shape))
+        spike = _spike(signal)
+    if spike is None:
+        return _frozen(draw.values * keep)
+    spike += draw.values
+    spike *= keep
+    return _frozen(spike)
 
 
 def hadamard(t: Tensor3, m: MaskTensor) -> Tensor3:
@@ -238,7 +321,7 @@ def hadamard(t: Tensor3, m: MaskTensor) -> Tensor3:
         raise DimensionMismatchError(
             f"tensor shape {t.shape.dims} != mask shape {m.shape.dims}"
         )
-    return Tensor3(t.values * m.bits)
+    return _frozen(t.values * m.bits)
 
 
 def contract_full(t: Tensor3, a, b, c) -> float:

@@ -5,18 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from punctured_tensor import (
-    MaskTensor,
-    RngSeed,
-    Shape3,
-    SignalTriple,
-    generate_spiked,
-    hadamard,
-)
+from punctured_tensor import Shape3
 from punctured_tensor.cli import build_parser, config_from_args, main
 from punctured_tensor.experiments import (
     ExperimentConfig,
-    _solve_trial,
     aggregate,
     derivative_check_rows,
     run_epsilon_sweep,
@@ -166,34 +158,66 @@ class TestRunSpikeCurve:
             assert by_beta[beta]["emp_sigma_mean"] != ""
 
 
-class TestSolveTrial:
-    @pytest.mark.parametrize("beta, eps", [(3.0, 0.6), (0.0, 1.0), (5.0, 0.3)])
-    def test_instance_matches_separate_steps(self, beta, eps):
-        # The trial builds its tensor in the buffer of its normals; it must
-        # equal, bit for bit, the spiked tensor punctured by the mask drawn
-        # next from the same generator.
-        shape = Shape3(6, 7, 8)
-        cfg = ExperimentConfig(shape=shape, beta=beta, init="planted", base_seed=4)
-        signal = SignalTriple.random(shape, beta, RngSeed(4, 0))
-        _, tm = _solve_trial(cfg, shape, signal, eps, 2)
-        rng = RngSeed(4, 3)
-        gen = rng.generator()
-        g = gen.standard_normal(shape.dims)
-        bits = (gen.random(shape.dims) < eps).astype(np.uint8)
-        kept = g.copy()
-        want = hadamard(
-            generate_spiked(shape, signal, rng, noise=g.copy()), MaskTensor(bits, eps)
-        )
-        generate_spiked(shape, signal, rng, noise=g)
-        assert g.tobytes() == kept.tobytes()
-        assert tm.values.tobytes() == want.values.tobytes()
+# Each trial is drawn once for the whole grid; every grid value must still
+# give what a run of that value alone gives. The configs cover random init
+# with restarts, planted init, and a budget too small for some trials.
+SWEEP_CONFIGS = {
+    "random": dict(init="random", restarts=3, tol=1e-6),
+    "planted": dict(init="planted", tol=1e-8),
+    "failed": dict(init="random", restarts=2, beta=2.0, max_iter=40),
+}
 
-    def test_rejects_epsilon_out_of_range(self):
-        shape = Shape3(3, 4, 5)
-        cfg = ExperimentConfig(shape=shape, init="planted")
-        signal = SignalTriple.random(shape, 2.0, RngSeed(0))
-        with pytest.raises(ValueError, match="epsilon"):
-            _solve_trial(cfg, shape, signal, 1.5, 0)
+
+def _data_lines(path):
+    """The lines of a CSV file after its header."""
+    return path.read_text().splitlines()[1:]
+
+
+class TestTrialLoop:
+    @pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+    def test_sweep_grid_matches_one_value_runs(self, tmp_path, name):
+        base = dict(shape=Shape3(10, 20, 70), beta=3.0, trials=4, base_seed=5)
+        base.update(SWEEP_CONFIGS[name])
+        grid = (0.6, 0.1, 0.6)
+        run_epsilon_sweep(
+            ExperimentConfig(epsilon_grid=grid, out=tmp_path / "grid", **base)
+        )
+        for i, eps in enumerate(grid):
+            out = tmp_path / f"one{i}"
+            run_epsilon_sweep(ExperimentConfig(epsilon_grid=(eps,), out=out, **base))
+        for fname in ("epsilon_sweep.csv", "epsilon_sweep_raw.csv"):
+            want = [
+                line
+                for i in range(len(grid))
+                for line in _data_lines(tmp_path / f"one{i}" / fname)
+            ]
+            assert _data_lines(tmp_path / "grid" / fname) == want
+        if name == "failed":
+            _, rows = _read_csv(tmp_path / "grid" / "epsilon_sweep.csv")
+            assert any(int(r[-1]) for r in rows)
+
+    def test_spike_curve_grid_matches_one_beta_runs(self, tmp_path):
+        # test_failed_trials_counted's config: every trial fails at beta = 1.
+        base = dict(
+            shape=Shape3(10, 20, 70),
+            epsilon=0.6,
+            trials=4,
+            init="random",
+            restarts=3,
+            max_iter=40,
+            empirical=True,
+        )
+        betas = (1.0, 3.0, 5.0)
+        grid_cfg = ExperimentConfig(beta_grid=betas, out=tmp_path / "grid", **base)
+        run_spike_curve(grid_cfg)
+        want = []
+        for beta in betas:
+            out = tmp_path / f"one{beta}"
+            run_spike_curve(ExperimentConfig(beta_grid=(beta,), out=out, **base))
+            want += _data_lines(out / "spike_curve.csv")
+        got = _data_lines(tmp_path / "grid" / "spike_curve.csv")
+        assert got == want
+        assert got[0].endswith(",4")  # the all-failed row at beta = 1
 
 
 class TestRunEpsilonSweep:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -253,14 +255,17 @@ class TestScanRestarts:
         with pytest.raises(ValueError):
             scan_restarts(tm, [good], 0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_rejects_tensor_that_overflows_float32(self):
-        # The float64 tensor is finite, but its float32 ranking copy is not.
+        # The float64 tensor is finite, but its float32 ranking copy is not:
+        # the error says so, and numpy's cast warning is not emitted.
         vals = np.zeros((4, 5, 6))
         vals[1, 2, 3] = 1e39
         good = tuple(np.ones(n) for n in (4, 5, 6))
-        with pytest.raises(ValueError, match="finite"):
-            scan_restarts(Tensor3(vals), [good], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite") as err:
+                scan_restarts(Tensor3(vals), [good], 3)
+        assert "float32 copy overflowed" in str(err.value)
 
 
 class TestAlignments:

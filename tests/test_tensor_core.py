@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from punctured_tensor import (
     Tensor3,
     contract_full,
     contract_one,
+    draw_trial,
     generate_spiked,
     hadamard,
+    puncture,
     sample_mask,
 )
 from punctured_tensor.tensor_core import DimensionMismatchError, _contract
@@ -96,6 +100,130 @@ class TestSampleMask:
             sample_mask(Shape3(2, 2, 2), 1.5, RngSeed(0))
         with pytest.raises(ValueError):
             sample_mask(Shape3(2, 2, 2), -0.1, RngSeed(0))
+
+
+class TestTensor3:
+    def test_writable_input_stays_the_callers(self):
+        vals = np.zeros((2, 3, 4))
+        t = Tensor3(vals)
+        vals[0, 1, 2] = 1.0  # the caller's array is still writable
+        assert t.values[0, 1, 2] == 0.0
+        assert not t.values.flags.writeable
+
+    def test_read_only_input_is_kept_without_copy(self):
+        vals = np.zeros((2, 3, 4))
+        vals.flags.writeable = False
+        assert Tensor3(vals).values is vals
+
+    def test_builders_hand_over_their_buffer(self):
+        # The builders' tensors are the buffers of their products: the peak
+        # allocation of a puncture or a mask product is that buffer plus the
+        # one-byte mask, never a second float64 copy of it.
+        sh = Shape3(20, 30, 40)
+        sig = SignalTriple.random(sh, 2.0, RngSeed(1))
+        draw = draw_trial(sh, sig, (0.5,), RngSeed(2).generator())
+        t = generate_spiked(sh, sig, RngSeed(3))
+        mask = sample_mask(sh, 0.5, RngSeed(4))
+        for build in (lambda: puncture(draw, 0.5), lambda: hadamard(t, mask)):
+            tracemalloc.start()
+            try:
+                out = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not out.values.flags.writeable
+            assert peak < 1.5 * out.values.nbytes
+
+
+def _whole_draws(shape, gen):
+    """G, then U, each drawn as one array from gen."""
+    return gen.standard_normal(shape.dims), gen.random(shape.dims)
+
+
+class TestDrawTrial:
+    # 72 000 entries: the uniforms are ranked in two chunks, the second short.
+    shape = Shape3(20, 40, 90)
+
+    @pytest.mark.parametrize("beta", [3.0, 0.0, 5.0])
+    def test_instance_matches_separate_steps(self, beta):
+        # Every level of the grid punctures the one draw; each must equal,
+        # bit for bit, the spiked tensor punctured by the mask U < epsilon,
+        # with G and then U drawn whole from the same generator. A draw
+        # without spike, punctured with the signal, must equal it too.
+        shape, grid = self.shape, (0.3, 0.6, 1.0, 0.05)
+        signal = SignalTriple.random(shape, beta, RngSeed(4, 0))
+        unspiked = SignalTriple(signal.x, signal.y, signal.z, 0.0)
+        gen = RngSeed(4, 3).generator()
+        draw = draw_trial(shape, signal, grid, gen)
+        draw0 = draw_trial(shape, unspiked, grid, RngSeed(4, 3).generator())
+        ref = RngSeed(4, 3).generator()
+        g, u = _whole_draws(shape, ref)
+        # The trial's random starts come next from the same generator.
+        assert gen.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
+        kept = g.copy()
+        spiked = generate_spiked(shape, signal, RngSeed(4, 3), noise=g)
+        assert g.tobytes() == kept.tobytes()
+        for eps in grid:
+            want = hadamard(spiked, MaskTensor((u < eps).astype(np.uint8), eps))
+            assert puncture(draw, eps).values.tobytes() == want.values.tobytes()
+            got = puncture(draw0, eps, signal)
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_uniform_equal_to_a_level_is_dropped(self):
+        shape = Shape3(3, 4, 5)
+        signal = SignalTriple.random(shape, 2.0, RngSeed(1))
+        _, u = _whole_draws(shape, RngSeed(6).generator())
+        level = float(u.flat[17])
+        above = float(np.nextafter(level, 2.0))
+        draw = draw_trial(shape, signal, (above, level), RngSeed(6).generator())
+        assert puncture(draw, level).values.flat[17] == 0.0
+        assert puncture(draw, above).values.flat[17] != 0.0
+        for eps in (level, above):
+            assert np.array_equal(puncture(draw, eps).values != 0.0, u < eps)
+
+    def test_unsorted_and_duplicated_grid(self):
+        shape = Shape3(5, 6, 7)
+        signal = SignalTriple.random(shape, 2.0, RngSeed(1))
+        grid = (0.6, 0.1, 0.6, 0.35)
+        draw = draw_trial(shape, signal, grid, RngSeed(8).generator())
+        _, u = _whole_draws(shape, RngSeed(8).generator())
+        assert draw.grid == (0.1, 0.35, 0.6)
+        assert draw.rank.dtype == np.uint8
+        for eps in grid:
+            assert np.array_equal(puncture(draw, eps).values != 0.0, u < eps)
+
+    def test_more_than_255_levels_widen_the_rank(self):
+        shape = Shape3(6, 7, 8)
+        signal = SignalTriple.random(shape, 2.0, RngSeed(1))
+        grid = np.linspace(0.001, 1.0, 300)
+        draw = draw_trial(shape, signal, grid, RngSeed(9).generator())
+        _, u = _whole_draws(shape, RngSeed(9).generator())
+        assert draw.rank.dtype == np.uint16
+        for eps in grid[[0, 149, 255, 256, 299]]:
+            assert np.array_equal(puncture(draw, eps).values != 0.0, u < eps)
+
+    def test_fill_fraction_five_sigma(self):
+        sh = Shape3(50, 100, 350)
+        signal = SignalTriple.random(sh, 2.5, RngSeed(3))
+        draw = draw_trial(sh, signal, (0.25, 0.7), RngSeed(11).generator())
+        size = sh.n1 * sh.n2 * sh.n3
+        for eps in (0.25, 0.7):
+            kept = np.count_nonzero(puncture(draw, eps).values) / size
+            assert abs(kept - eps) < 5.0 * np.sqrt(eps * (1 - eps) / size)
+
+    def test_rejects_epsilon_out_of_range(self):
+        shape = Shape3(3, 4, 5)
+        signal = SignalTriple.random(shape, 2.0, RngSeed(0))
+        with pytest.raises(ValueError, match="epsilon"):
+            draw_trial(shape, signal, (0.5, 1.5), RngSeed(0).generator())
+        with pytest.raises(ValueError, match="epsilon"):
+            draw_trial(shape, signal, (), RngSeed(0).generator())
+        draw = draw_trial(shape, signal, (0.5,), RngSeed(0).generator())
+        with pytest.raises(ValueError, match="epsilon"):
+            puncture(draw, 0.6)
+        # A second spike on a spiked draw would count beta twice.
+        with pytest.raises(ValueError, match="spike"):
+            puncture(draw, 0.5, signal)
 
 
 class TestHadamard:
