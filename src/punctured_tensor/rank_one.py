@@ -4,7 +4,8 @@ The solver cycles u, v, w updates; its fixed points satisfy the first-order
 system  tm(:, v, w) = sigma u,  tm(u, :, w) = sigma v,  tm(u, v, :) = sigma w
 with sigma = |tm(u, v, w)|. The update order is fixed as u, v, w: different
 orders can reach different (sign-equivalent) critical points from the same
-start.
+start. One sweep streams the tensor twice, for tm(:, :, w) and tm(u, :, :);
+the residual check reuses those two contractions instead of making its own.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class ConvergenceError(RuntimeError):
 
 
 class DegeneratePointError(RuntimeError):
-    """A zero vector was produced by a contraction; no direction to normalize."""
+    """A start factor or a contraction is zero; no direction to normalize."""
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,14 @@ class SolverConfig:
 def _normalize(vec, what: str) -> tuple[np.ndarray, float]:
     n = np.linalg.norm(vec)
     if not n > 1e-300:
-        raise DegeneratePointError(f"zero contraction while updating {what}")
+        raise DegeneratePointError(f"zero {what}")
     return vec / n, float(n)
 
 
-def _residual_max(tm: Tensor3, sigma, u, v, w):
-    """Max-norm defect of the three first-order conditions."""
-    M3 = contract_one(tm, 3, w)
+def _residual_max(M3, M1, sigma, u, v, w):
+    """Max-norm first-order defect from M3 = tm(:, :, w) and M1 = tm(u, :, :)."""
     r1 = np.max(np.abs(M3 @ v - sigma * u))
     r2 = np.max(np.abs(M3.T @ u - sigma * v))
-    M1 = contract_one(tm, 1, u)
     r3 = np.max(np.abs(M1.T @ v - sigma * w))
     return max(r1, r2, r3)
 
@@ -88,7 +87,10 @@ def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     if cfg.factors is None:
         cfg.reference.check_shape(tm.shape)
         return cfg.reference.x, cfg.reference.y, cfg.reference.z
-    return tuple(f / np.linalg.norm(f) for f in check_factors(tm.shape, cfg.factors))
+    return tuple(
+        _normalize(f, f"start factor {name}")[0]
+        for f, name in zip(check_factors(tm.shape, cfg.factors), "uvw")
+    )
 
 
 def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
@@ -98,8 +100,13 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     are drawn by the caller) and otherwise from the planted cfg.reference.
     A reference also fixes the sign convention <x, u> >= 0 of the result.
 
+    Each sweep streams the tensor twice: tm(u, :, :), and tm(:, :, w) at the
+    new w, which the residual check and the next sweep share; k sweeps make
+    2k + 1 passes.
+
     Raises ConvergenceError if the residual is still above cfg.tol after
-    cfg.max_iter sweeps and DegeneratePointError when a contraction vanishes.
+    cfg.max_iter sweeps and DegeneratePointError when a start factor or a
+    contraction vanishes.
     """
     u, v, w = _initial_factors(tm, cfg)
 
@@ -109,12 +116,13 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
 
     sigma_prev = -np.inf
     residual = np.inf
+    M3 = contract_one(tm, 3, w)
     for it in range(1, cfg.max_iter + 1):
-        M3 = contract_one(tm, 3, w)
-        u, _ = _normalize(M3 @ v, "u")
-        v, _ = _normalize(M3.T @ u, "v")
+        u, _ = _normalize(M3 @ v, "contraction while updating u")
+        v, _ = _normalize(M3.T @ u, "contraction while updating v")
         M1 = contract_one(tm, 1, u)
-        w, sigma = _normalize(M1.T @ v, "w")
+        w, sigma = _normalize(M1.T @ v, "contraction while updating w")
+        M3 = contract_one(tm, 3, w)  # the residual's and the next sweep's
 
         if sigma < sigma_prev - mono_slack * max(1.0, sigma):
             raise ConvergenceError(
@@ -123,7 +131,7 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
         near_fixed = abs(sigma - sigma_prev) <= 10.0 * cfg.tol * max(1.0, sigma)
         sigma_prev = sigma
         if near_fixed or it == cfg.max_iter or it % 200 == 0:
-            residual = _residual_max(tm, sigma, u, v, w)
+            residual = _residual_max(M3, M1, sigma, u, v, w)
             if residual <= cfg.tol:
                 if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
                     u, v = -u, -v  # flipping a pair preserves the fixed point
@@ -197,7 +205,8 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
 def first_order_residual(tm: Tensor3, cp: CriticalPoint) -> float:
     """Max-norm residual of the first-order conditions at (sigma, u, v, w)."""
     u, v, w = check_factors(tm.shape, (cp.u, cp.v, cp.w))
-    return float(_residual_max(tm, cp.sigma, u, v, w))
+    M3, M1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
+    return float(_residual_max(M3, M1, cp.sigma, u, v, w))
 
 
 def alignments(cp: CriticalPoint, signal: SignalTriple) -> tuple[float, float, float]:

@@ -21,6 +21,7 @@ from punctured_tensor import (
     scan_restarts,
     solve_critical_point,
 )
+from punctured_tensor import rank_one
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
     contract_full,
@@ -108,6 +109,19 @@ class TestSolverControls:
         with pytest.raises(DegeneratePointError):
             solve_critical_point(tm, SolverConfig(reference=sig))
 
+    def test_zero_start_is_named(self):
+        # An all-zero tensor: the scan keeps zero factors, and the solve
+        # rejects that start before any product is taken, without numpy's
+        # 0/0 warning.
+        tm = Tensor3(np.zeros((4, 5, 6)))
+        gen = RngSeed(3).generator()
+        starts = [tuple(gen.standard_normal(n) for n in (4, 5, 6)) for _ in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            best = scan_restarts(tm, starts, 4)[0]
+            with pytest.raises(DegeneratePointError, match="zero start factor u"):
+                solve_critical_point(tm, SolverConfig(factors=best[1:]))
+
     def test_supplied_init(self):
         tm, _, _, sig = _masked_instance(Shape3(10, 11, 12), 4.0, 0.6, 4)
         base = solve_critical_point(tm, SolverConfig(reference=sig))
@@ -162,6 +176,107 @@ class TestSolverControls:
             sigmas.append(sigma)
         diffs = np.diff(sigmas)
         assert np.all(diffs >= -1e-12)
+
+
+def _old_polish(tm, cfg):
+    """Reference polish: the solver's sweeps and check gate, with every check
+    rebuilding both contractions from fresh contract_one calls.
+
+    Returns (sigma, u, v, w, residual, iterations) or raises ConvergenceError.
+    """
+    if cfg.factors is None:
+        u, v, w = cfg.reference.x, cfg.reference.y, cfg.reference.z
+    else:
+        u, v, w = (f / np.linalg.norm(f) for f in cfg.factors)
+    sigma_prev = -np.inf
+    for it in range(1, cfg.max_iter + 1):
+        M3 = contract_one(tm, 3, w)
+        u = M3 @ v / np.linalg.norm(M3 @ v)
+        v = M3.T @ u / np.linalg.norm(M3.T @ u)
+        M1 = contract_one(tm, 1, u)
+        w = M1.T @ v
+        sigma = float(np.linalg.norm(w))
+        w = w / sigma
+        near_fixed = abs(sigma - sigma_prev) <= 10.0 * cfg.tol * max(1.0, sigma)
+        sigma_prev = sigma
+        if near_fixed or it == cfg.max_iter or it % 200 == 0:
+            F3, F1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
+            residual = max(
+                np.max(np.abs(F3 @ v - sigma * u)),
+                np.max(np.abs(F3.T @ u - sigma * v)),
+                np.max(np.abs(F1.T @ v - sigma * w)),
+            )
+            if residual <= cfg.tol:
+                if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
+                    u, v = -u, -v
+                return sigma, u, v, w, residual, it
+    raise ConvergenceError("no convergence", residual=residual)
+
+
+def _random_start(shape, seed):
+    gen = RngSeed(seed, 9).generator()
+    return tuple(gen.standard_normal(n) for n in shape)
+
+
+class TestPolishReusesContractions:
+    """One sweep streams the tensor twice; the residual check adds no pass."""
+
+    def _cases(self):
+        sh = Shape3(15, 20, 25)
+        fast, _, _, sig = _masked_instance(sh, 4.0, 0.8, 0)
+        starts = [_random_start(sh.dims, r) for r in range(4)]
+        scanned = scan_restarts(fast, starts, 20)[0][1:]
+        slow, _, _, _ = _masked_instance(sh, 2.0, 0.15, 2)
+        slow_start = _random_start(sh.dims, 2)
+        return [
+            ("planted", fast, SolverConfig(tol=1e-10, reference=sig), None),
+            ("scanned", fast, SolverConfig(tol=1e-4, factors=scanned), 2),
+            ("slow", slow, SolverConfig(tol=1e-6, factors=slow_start), None),
+        ]
+
+    def test_bit_identical_to_old_loop(self):
+        for name, tm, cfg, sweeps in self._cases():
+            cp = solve_critical_point(tm, cfg)
+            sigma, u, v, w, residual, iterations = _old_polish(tm, cfg)
+            assert cp.sigma == sigma, name
+            assert np.array_equal(cp.u, u), name
+            assert np.array_equal(cp.v, v), name
+            assert np.array_equal(cp.w, w), name
+            assert cp.residual == residual, name
+            assert cp.iterations == iterations, name
+            if sweeps is not None:
+                assert cp.iterations == sweeps, name
+            if name == "slow":
+                # Past the it % 200 check, which did not return.
+                assert cp.iterations > 200
+
+    @pytest.mark.parametrize("max_iter", [1, 250])
+    def test_convergence_error_residual_unchanged(self, max_iter):
+        tm, _, _, _ = _masked_instance(Shape3(15, 20, 25), 2.0, 0.15, 2)
+        cfg = SolverConfig(
+            tol=1e-8, max_iter=max_iter, factors=_random_start((15, 20, 25), 2)
+        )
+        with pytest.raises(ConvergenceError) as new:
+            solve_critical_point(tm, cfg)
+        with pytest.raises(ConvergenceError) as old:
+            _old_polish(tm, cfg)
+        assert new.value.residual == old.value.residual
+
+    def test_tensor_passes(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return contract_one(*args, **kwargs)
+
+        monkeypatch.setattr(rank_one, "contract_one", counted)
+        for name, tm, cfg, _ in self._cases():
+            calls.clear()
+            cp = solve_critical_point(tm, cfg)
+            assert len(calls) == 2 * cp.iterations + 1, name
+            calls.clear()
+            first_order_residual(tm, cp)
+            assert sorted(calls) == [1, 3], name
 
 
 def _scan64(tm, starts, sweeps):
