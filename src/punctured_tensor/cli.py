@@ -147,14 +147,8 @@ def main(argv=None) -> int:
         elif args.command == "density":
             result = experiments.run_density(cfg)
         elif args.command == "spike-curve":
-            if cfg.beta_grid is None:
-                print("spike-curve requires --beta-grid", file=sys.stderr)
-                return 1
             result = experiments.run_spike_curve(cfg)
         elif args.command == "epsilon-sweep":
-            if cfg.epsilon_grid is None:
-                print("epsilon-sweep requires --epsilon-grid", file=sys.stderr)
-                return 1
             result = experiments.run_epsilon_sweep(cfg)
         elif args.command == "derivative-check":
             result = experiments.run_derivative_check(cfg, n_entries=args.entries)

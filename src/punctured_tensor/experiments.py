@@ -34,6 +34,7 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    _spike,
     contract_full,
     contract_one,
     draw_trial,
@@ -74,6 +75,10 @@ class ExperimentConfig:
     perturb_sigma: float = 0.0
     restarts: int = 1
     scan_sweeps: int = 50
+
+    def __post_init__(self):
+        if self.init not in ("random", "planted"):
+            raise ValueError(f"init must be 'random' or 'planted', got {self.init!r}")
 
     def resolve_shape(self) -> Shape3:
         if self.shape is not None:
@@ -299,7 +304,7 @@ def run_spike_curve(cfg: ExperimentConfig) -> dict:
     and the count of failed trials (n_failed, empty without --empirical)."""
     out = Path(cfg.out or ".")
     if cfg.beta_grid is None:
-        raise ValueError("spike-curve needs a beta grid")
+        raise ValueError("spike-curve requires --beta-grid")
     empirical = [([], "")] * len(cfg.beta_grid)
     if cfg.empirical:
         shape = cfg.resolve_shape()
@@ -332,7 +337,7 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
     """
     out = Path(cfg.out or ".")
     if cfg.epsilon_grid is None:
-        raise ValueError("epsilon-sweep needs an epsilon grid")
+        raise ValueError("epsilon-sweep requires --epsilon-grid")
     for eps in cfg.epsilon_grid:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon grid value {eps} outside (0, 1]")
@@ -364,7 +369,8 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
 def run_derivative_check(cfg: ExperimentConfig, n_entries: int = 20) -> dict:
     """Resolvent derivative prediction vs central finite differences."""
     out = Path(cfg.out or ".")
-    shape = cfg.shape or Shape3(4, 5, 6)
+    default = cfg.shape is None and cfg.ratios is None
+    shape = Shape3(4, 5, 6) if default else cfg.resolve_shape()
     rows, worst = derivative_check_rows(
         shape, cfg.beta, cfg.epsilon, cfg.base_seed, n_entries
     )
@@ -385,47 +391,48 @@ def derivative_check_rows(
 ):
     """Shared implementation for the derivative check (CLI and validation).
 
-    The finite-difference solves re-start from the unperturbed factors at a
-    tight tolerance so the same critical-point branch is followed.
+    The instance is drawn once. Each finite-difference solve moves one kept
+    noise entry by +-FD_STEP, rebuilding that tensor entry as generate_spiked
+    does, and re-starts from the unperturbed factors at a tight tolerance so
+    the same critical-point branch is followed. A masked entry does not move
+    the tensor (its finite difference is exactly 0) and is not solved for.
     """
-    rng = RngSeed(seed, 0)
-    gen = rng.generator()
     signal = SignalTriple.random(shape, beta, RngSeed(seed, 1))
-    noise = gen.standard_normal(shape.dims)
+    # generate_spiked draws this same G from RngSeed(seed, 0).
+    noise = RngSeed(seed, 0).generator().standard_normal(shape.dims)
     mask = sample_mask(shape, epsilon, RngSeed(seed, 2))
-
-    def solve_with(noise_arr, factors=None):
-        t = generate_spiked(shape, signal, rng, noise=noise_arr)
-        tm = hadamard(t, mask)
-        scfg = SolverConfig(
-            tol=1e-14, max_iter=200_000, factors=factors, reference=signal
-        )
-        return solve_critical_point(tm, scfg), tm
-
-    cp0, tm0 = solve_with(noise)
+    tm0 = hadamard(generate_spiked(shape, signal, RngSeed(seed, 0)), mask)
+    spike = _spike(signal)
+    scfg = SolverConfig(tol=1e-14, max_iter=200_000, reference=signal)
+    cp0 = solve_critical_point(tm0, scfg)
     phi = phi_spectrum.build_phi(tm0, cp0.u, cp0.v, cp0.w)
-    base_factors = (cp0.u, cp0.v, cp0.w)
+    scfg = replace(scfg, factors=(cp0.u, cp0.v, cp0.w))
+
+    def solve_moved(entry, g):
+        values = tm0.values.copy()
+        values[entry] = g / np.sqrt(shape.N)
+        if spike is not None:
+            values[entry] += spike[entry]
+        return solve_critical_point(Tensor3(values), scfg).stacked()
 
     entry_gen = RngSeed(seed, 3).generator()
     rows = []
     worst = 0.0
     for _ in range(n_entries):
-        i = int(entry_gen.integers(shape.n1))
-        j = int(entry_gen.integers(shape.n2))
-        k = int(entry_gen.integers(shape.n3))
-        bit = int(mask.bits[i, j, k])
-        pred = phi_spectrum.predict_factor_derivative(phi, cp0, (i, j, k), bit)
-        bump = np.zeros(shape.dims)
-        bump[i, j, k] = FD_STEP
-        cp_plus, _ = solve_with(noise + bump, factors=base_factors)
-        cp_minus, _ = solve_with(noise - bump, factors=base_factors)
-        fd = (cp_plus.stacked() - cp_minus.stacked()) / (2.0 * FD_STEP)
-        denom = max(float(np.max(np.abs(fd))), 1e-300)
-        rel = float(np.max(np.abs(pred - fd))) / denom if bit else float(
-            np.max(np.abs(pred - fd))
-        )
+        entry = tuple(int(entry_gen.integers(n)) for n in shape.dims)
+        bit = int(mask.bits[entry])
+        pred = phi_spectrum.predict_factor_derivative(phi, cp0, entry, bit)
+        if bit:
+            g = noise[entry]
+            plus = solve_moved(entry, g + FD_STEP)
+            minus = solve_moved(entry, g - FD_STEP)
+            fd = (plus - minus) / (2.0 * FD_STEP)
+            denom = max(float(np.max(np.abs(fd))), 1e-300)
+            rel = float(np.max(np.abs(pred - fd))) / denom
+        else:
+            rel = float(np.max(np.abs(pred)))
         worst = max(worst, rel)
-        rows.append([i, j, k, bit, _fmt(rel)])
+        rows.append(list(entry) + [bit, _fmt(rel)])
     return rows, worst
 
 

@@ -202,27 +202,10 @@ def _frozen(values: np.ndarray) -> Tensor3:
     return Tensor3(values)
 
 
-def generate_spiked(
-    shape: Shape3,
-    signal: SignalTriple,
-    rng: RngSeed,
-    noise: np.ndarray | None = None,
-) -> Tensor3:
-    """Sample beta * x (x) y (x) z + G / sqrt(N) with G i.i.d. standard normal.
-
-    `noise` overrides the random draw of G (unscaled); it is copied, never
-    modified. The finite-difference derivative check uses it to perturb a
-    single noise entry.
-    """
+def generate_spiked(shape: Shape3, signal: SignalTriple, rng: RngSeed) -> Tensor3:
+    """Sample beta * x (x) y (x) z + G / sqrt(N) with G i.i.d. standard normal."""
     signal.check_shape(shape)
-    if noise is None:
-        g = rng.generator().standard_normal(shape.dims)
-    else:
-        g = np.array(noise, dtype=np.float64)
-        if g.shape != shape.dims:
-            raise DimensionMismatchError(
-                f"noise override has shape {g.shape}, expected {shape.dims}"
-            )
+    g = rng.generator().standard_normal(shape.dims)
     return _frozen(_scale_and_spike(g, signal))
 
 
@@ -261,11 +244,11 @@ def draw_trial(
 ) -> TrialDraw:
     """Draw G, then one uniform U per entry, from gen, for every epsilon of grid.
 
-    puncture(draw, epsilon) equals, bit for bit, the spiked tensor
-    generate_spiked(shape, signal, _, noise=G) punctured by the mask
-    U < epsilon. The caller goes on drawing from gen (a trial's random
-    starts), which is then where one draw of all of G and of all of U would
-    leave it. Ranking U costs one comparison per entry and grid level.
+    When gen is rng.generator(), puncture(draw, epsilon) equals, bit for
+    bit, generate_spiked(shape, signal, rng), which draws the same G,
+    punctured by the mask U < epsilon. The caller goes on drawing from gen
+    (a trial's random starts), which is then where one draw of all of G and
+    of all of U would leave it. Ranking U costs one comparison per entry and grid level.
     """
     signal.check_shape(shape)
     levels = sorted(set(float(eps) for eps in grid))

@@ -5,9 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from punctured_tensor import Shape3
+from punctured_tensor import (
+    RngSeed,
+    Shape3,
+    SignalTriple,
+    SolverConfig,
+    Tensor3,
+    build_phi,
+    hadamard,
+    predict_factor_derivative,
+    sample_mask,
+    solve_critical_point,
+)
 from punctured_tensor.cli import build_parser, config_from_args, main
 from punctured_tensor.experiments import (
+    FD_STEP,
     ExperimentConfig,
     aggregate,
     derivative_check_rows,
@@ -266,6 +278,48 @@ class TestRunEpsilonSweep:
             run_epsilon_sweep(cfg)
 
 
+def _old_derivative_rows(shape, beta, epsilon, seed, n_entries):
+    """The derivative check with a full redraw per solve: every solve scales
+    and spikes the whole (perturbed) noise array and punctures it again."""
+    signal = SignalTriple.random(shape, beta, RngSeed(seed, 1))
+    noise = RngSeed(seed, 0).generator().standard_normal(shape.dims)
+    mask = sample_mask(shape, epsilon, RngSeed(seed, 2))
+
+    def solve_with(noise_arr, factors=None):
+        values = noise_arr / np.sqrt(shape.N)
+        if beta != 0.0:
+            values += beta * np.einsum("i,j,k->ijk", signal.x, signal.y, signal.z)
+        tm = hadamard(Tensor3(values), mask)
+        scfg = SolverConfig(
+            tol=1e-14, max_iter=200_000, factors=factors, reference=signal
+        )
+        return solve_critical_point(tm, scfg), tm
+
+    cp0, tm0 = solve_with(noise)
+    phi = build_phi(tm0, cp0.u, cp0.v, cp0.w)
+    base_factors = (cp0.u, cp0.v, cp0.w)
+    entry_gen = RngSeed(seed, 3).generator()
+    rows = []
+    worst = 0.0
+    for _ in range(n_entries):
+        i = int(entry_gen.integers(shape.n1))
+        j = int(entry_gen.integers(shape.n2))
+        k = int(entry_gen.integers(shape.n3))
+        bit = int(mask.bits[i, j, k])
+        pred = predict_factor_derivative(phi, cp0, (i, j, k), bit)
+        bump = np.zeros(shape.dims)
+        bump[i, j, k] = FD_STEP
+        cp_plus, _ = solve_with(noise + bump, factors=base_factors)
+        cp_minus, _ = solve_with(noise - bump, factors=base_factors)
+        fd = (cp_plus.stacked() - cp_minus.stacked()) / (2.0 * FD_STEP)
+        denom = max(float(np.max(np.abs(fd))), 1e-300)
+        err = float(np.max(np.abs(pred - fd)))
+        rel = err / denom if bit else err
+        worst = max(worst, rel)
+        rows.append([i, j, k, bit, f"{rel:.12g}"])
+    return rows, worst
+
+
 class TestDerivativeCheck:
     def test_rows_and_worst(self):
         rows, worst = derivative_check_rows(Shape3(4, 5, 6), 3.0, 0.7, 0, 5)
@@ -275,6 +329,16 @@ class TestDerivativeCheck:
             assert bit in (0, 1)
             # rel is formatted to 12 significant digits in the rows.
             assert float(rel) <= worst * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    @pytest.mark.parametrize(
+        "beta, epsilon", [(3.0, 0.25), (3.0, 0.7), (3.0, 1.0), (0.0, 0.7)]
+    )
+    def test_matches_full_redraw(self, beta, epsilon, seed):
+        # Rebuilding the one moved entry, and skipping the solves of masked
+        # entries, gives exactly the rows of a full redraw per solve.
+        args = (Shape3(4, 5, 6), beta, epsilon, seed, 10)
+        assert derivative_check_rows(*args) == _old_derivative_rows(*args)
 
 
 class TestRunValidate:
@@ -408,6 +472,25 @@ class TestCli:
         assert main(["spike-curve", "--shape", "6,6,6", "--out", str(tmp_path)]) == 1
         assert "requires --beta-grid" in capsys.readouterr().err
 
+    def test_missing_epsilon_grid(self, tmp_path, capsys):
+        assert main(["epsilon-sweep", "--shape", "6,6,6", "--out", str(tmp_path)]) == 1
+        assert "requires --epsilon-grid" in capsys.readouterr().err
+
+    def test_unknown_init(self, tmp_path, capsys):
+        # init is matched exactly: "Random" is neither random nor planted.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"init": "Random"}))
+        code = main(
+            ["esd", "--shape", "6,6,6", "--config", str(cfg_path),
+             "--out", str(tmp_path / "run")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "random" in err and "planted" in err
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(ValueError, match="planted"):
+            ExperimentConfig(init="Random")
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # A one-iteration budget cannot converge: exit code 3.
         code = main(
@@ -439,3 +522,22 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["worst_rel_error"] < 1e-3
         assert (tmp_path / "derivative_check.csv").exists()
+
+    def test_derivative_check_ratios(self, tmp_path, capsys):
+        # --ratios with --n-total sets the shape, as in the other commands.
+        shape = shape_from_ratios((0.2, 0.3, 0.5), 30)
+        assert shape == Shape3(6, 9, 15)
+        code = main(
+            [
+                "derivative-check",
+                "--ratios", "0.2,0.3,0.5",
+                "--n-total", "30",
+                "--epsilon", "1.0",
+                "--entries", "3",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        _, got = _read_csv(tmp_path / "derivative_check.csv")
+        rows, _ = derivative_check_rows(shape, 4.0, 1.0, 0, 3)
+        assert got == [[str(x) for x in row] for row in rows]

@@ -389,10 +389,9 @@ class TestResolvent:
         sh = Shape3(4, 5, 6)
         beta, eps, h = 3.0, 0.7, 1e-5
         sig = SignalTriple.random(sh, beta, RngSeed(30, 0))
-        gen = RngSeed(30, 1).generator()
-        noise = gen.standard_normal(sh.dims)
+        t = generate_spiked(sh, sig, RngSeed(30, 1))
         mask = sample_mask(sh, eps, RngSeed(30, 2))
-        base_tm = hadamard(generate_spiked(sh, sig, RngSeed(0), noise=noise), mask)
+        base_tm = hadamard(t, mask)
         cp = solve_critical_point(base_tm, SolverConfig(tol=1e-14, reference=sig))
         phi = build_phi(base_tm, cp.u, cp.v, cp.w)
 
@@ -404,9 +403,11 @@ class TestResolvent:
             pred = predict_factor_derivative(phi, cp, entry, bit)
             stacked = []
             for delta in (h, -h):
-                pert = noise.copy()
-                pert[entry] += delta
-                tm = hadamard(generate_spiked(sh, sig, RngSeed(0), noise=pert), mask)
+                # A step delta of the noise entry moves the tensor entry by
+                # delta / sqrt(N).
+                pert = t.values.copy()
+                pert[entry] += delta / np.sqrt(sh.N)
+                tm = hadamard(Tensor3(pert), mask)
                 cp2 = solve_critical_point(
                     tm,
                     SolverConfig(tol=1e-14, factors=(cp.u, cp.v, cp.w), reference=sig),

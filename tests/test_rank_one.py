@@ -38,13 +38,18 @@ def _masked_instance(shape, beta, epsilon, seed):
     return hadamard(t, m), t, m, sig
 
 
+def _noiseless(sig):
+    """The pure spike beta * x (x) y (x) z."""
+    return Tensor3(sig.beta * np.einsum("i,j,k->ijk", sig.x, sig.y, sig.z))
+
+
 class TestExactRankOne:
     def test_noiseless_full_mask(self):
         # On beta x(x)y(x)z with no noise and full mask the planted point is
         # an exact fixed point: sigma == beta, factors recovered exactly.
         sh = Shape3(6, 7, 8)
         sig = SignalTriple.random(sh, 3.0, RngSeed(42))
-        t = generate_spiked(sh, sig, RngSeed(0), noise=np.zeros(sh.dims))
+        t = _noiseless(sig)
         cp = solve_critical_point(t, SolverConfig(reference=sig))
         assert abs(cp.sigma - 3.0) < 1e-12
         assert max(np.max(np.abs(cp.u - sig.x)), np.max(np.abs(cp.v - sig.y)),
@@ -53,7 +58,7 @@ class TestExactRankOne:
     def test_random_init_recovers_noiseless(self):
         sh = Shape3(6, 7, 8)
         sig = SignalTriple.random(sh, 2.0, RngSeed(5))
-        t = generate_spiked(sh, sig, RngSeed(0), noise=np.zeros(sh.dims))
+        t = _noiseless(sig)
         gen = RngSeed(6).generator()
         start = tuple(gen.standard_normal(n) for n in sh.dims)
         cp = solve_critical_point(t, SolverConfig(factors=start, reference=sig))

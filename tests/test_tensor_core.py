@@ -37,13 +37,15 @@ class TestShape3:
 
 class TestGenerateSpiked:
     def test_pure_signal(self):
-        # beta=5, zero noise override, x=y=z=e1: only entry (0,0,0) is set.
+        # beta=5, x=y=z=e1: against the same noise without spike, only entry
+        # (0,0,0) moves, and by exactly the floating-point addition of 5.
         sh = Shape3(2, 2, 2)
         e1 = np.array([1.0, 0.0])
         sig = SignalTriple(e1, e1, e1, 5.0)
-        t = generate_spiked(sh, sig, RngSeed(0), noise=np.zeros(sh.dims))
-        assert t.values[0, 0, 0] == 5.0
-        assert np.count_nonzero(t.values) == 1
+        t = generate_spiked(sh, sig, RngSeed(0))
+        noise = generate_spiked(sh, SignalTriple(e1, e1, e1, 0.0), RngSeed(0))
+        assert t.values[0, 0, 0] == noise.values[0, 0, 0] + 5.0
+        assert np.count_nonzero(t.values != noise.values) == 1
 
     def test_noise_variance(self):
         # beta=0 entries are N(0, 1/6); pooled over many seeds the sample
@@ -160,9 +162,10 @@ class TestDrawTrial:
         g, u = _whole_draws(shape, ref)
         # The trial's random starts come next from the same generator.
         assert gen.standard_normal(7).tobytes() == ref.standard_normal(7).tobytes()
-        kept = g.copy()
-        spiked = generate_spiked(shape, signal, RngSeed(4, 3), noise=g)
-        assert g.tobytes() == kept.tobytes()
+        # generate_spiked draws the same G first.
+        spiked = generate_spiked(shape, signal, RngSeed(4, 3))
+        if beta == 0.0:
+            assert spiked.values.tobytes() == (g / np.sqrt(shape.N)).tobytes()
         for eps in grid:
             want = hadamard(spiked, MaskTensor((u < eps).astype(np.uint8), eps))
             assert puncture(draw, eps).values.tobytes() == want.values.tobytes()
