@@ -126,10 +126,7 @@ def config_from_args(args) -> ExperimentConfig:
             values[key] = grid
     if "out" in values and values["out"] is not None:
         values["out"] = Path(values["out"])
-    cfg = ExperimentConfig(**values)
-    if cfg.trials < 1:
-        raise ValueError("trials must be at least 1")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:

@@ -79,6 +79,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.init not in ("random", "planted"):
             raise ValueError(f"init must be 'random' or 'planted', got {self.init!r}")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be at least 1")
 
     def resolve_shape(self) -> Shape3:
         if self.shape is not None:
@@ -130,7 +134,7 @@ def _draw(cfg, shape, signal, grid, trial):
     if cfg.init == "random":
         inits = [
             tuple(gen.standard_normal(n) for n in shape.dims)
-            for _ in range(max(1, cfg.restarts))
+            for _ in range(cfg.restarts)
         ]
     return draw, inits
 
@@ -368,6 +372,8 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
 
 def run_derivative_check(cfg: ExperimentConfig, n_entries: int = 20) -> dict:
     """Resolvent derivative prediction vs central finite differences."""
+    if n_entries < 1:
+        raise ValueError("entries must be at least 1")
     out = Path(cfg.out or ".")
     default = cfg.shape is None and cfg.ratios is None
     shape = Shape3(4, 5, 6) if default else cfg.resolve_shape()

@@ -9,20 +9,28 @@ with o_l = mbar - m_l the sum of the other two modes and mbar = m1 + m2 + m3.
 It is solved by Newton's method, whose Jacobian is diagonal plus rank one
 and so is inverted in closed form. Summing o_l directly keeps the solve
 accurate next to the atom at 0 (one ratio above 1/2), where one m_l grows
-like 1 / Im z. The spike equation couples mbar on the real axis with the
-alignment limits q_l^2 = 1 - eps * m_l(sigma)^2 / c_l:
+like 1 / Im z.
 
-    F = sigma + eps * mbar(sigma) - eps * beta * q1 * q2 * q3 = 0.
+Right of the support edge everything is explicit in the one parameter
+A = x + eps * mbar, symmetric in the three modes (see the real-axis branch
+below): with s_l = sqrt(A^2 + 4 * eps * c_l),
 
-Right of the support edge everything is explicit in the branch parameter
-t = m1 in (t_edge, 0) (see the real-axis branch below). F crosses zero at
-most once along the branch and tends to +infinity as t -> 0-, so a spike
-exists exactly when F(t_edge) < 0. This gives the closed-form thresholds
+    m_l = -2 * c_l / (A + s_l),   x = (s1 + s2 + s3 - A) / 2,
+    q_l^2 = 1 - eps * m_l^2 / c_l = 2 * A / (A + s_l),
 
-    beta_s = (edge + eps * mbar(edge)) / (eps * q1 * q2 * q3(edge)),
+and the support edge is the one root of sum_l A / s_l = 1. The spike
+equation x + eps * mbar = eps * beta * q1 * q2 * q3 becomes
+
+    F(A) = A - eps * beta * q1 * q2 * q3 = 0.
+
+F crosses zero at most once right of the edge and is positive at
+A = eps * beta (every q_l < 1), so a spike exists exactly when F(A_edge) < 0.
+This gives the closed-form thresholds
+
+    beta_s = A_edge / (eps * q1 * q2 * q3(A_edge)),
     eps_s = (beta_s(eps = 1) / beta)^2   (dilation law),
 
-and one bracketed bisection in t for the spike itself.
+and one bracketed bisection in A for the spike itself.
 """
 
 from __future__ import annotations
@@ -199,65 +207,56 @@ def solve_stieltjes(z: complex, p: ModelParams, init=None) -> StieltjesSolution:
 
 # --- Real-axis branch -------------------------------------------------------
 #
-# Fixing m1 = t < 0, the difference of the mode-l equation and the mode-1
-# equation eliminates the cross terms, leaving decoupled quadratics for m2
-# and m3 and a closed form for the abscissa:
+# Right of the support every m_l is real and negative. With A = x + eps*mbar,
+# the mode-l equation eps*m_l*(mbar - m_l) + x*m_l + c_l = 0 becomes the same
+# quadratic in every mode,
 #
-#     eps*m_l^2 - (eps*t - c1/t)*m_l - c_l = 0,   x = -c1/t - eps*(m2 + m3).
+#     eps*m_l^2 - A*m_l - c_l = 0,   s_l = sqrt(A^2 + 4*eps*c_l),
 #
-# The decaying branch (all m_l < 0, m_l ~ -c_l/x at infinity) is the minus
-# root. x(t) is smooth with a unique interior minimum: the support edge.
-# Parametrizing by t removes the square-root singularity at the edge, so the
-# edge and the branch values carry machine precision.
+# whose decaying root (m_l ~ -c_l/x at infinity) is m_l = -2*c_l/(A + s_l),
+# free of cancellation. Then x + eps*mbar = A gives x = (s1 + s2 + s3 - A)/2,
+# and the quadratic gives q_l^2 = 1 - eps*m_l^2/c_l = 2A/(A + s_l). Since
+# dx/dA = (sum_l A/s_l - 1)/2 and sum_l A/s_l increases from 0 to 3, x(A) has
+# one minimum, the support edge, at sum_l A/s_l = 1. It lies in
+# (0, 2*sqrt(eps)): at A = 2*sqrt(eps) every A/s_l = 1/sqrt(1 + c_l) exceeds
+# 1/sqrt(2). Right of the edge x(A) increases, and x(A) > A. Parametrizing by
+# A removes the square-root singularity at the edge, so the edge and the
+# branch values carry machine precision.
 
 
-def _branch_at(t: float, c, eps: float):
-    """(m1, m2, m3, x) on the decaying real branch parametrized by m1 = t < 0."""
-    c1, c2, c3 = c
-    A = eps * t - c1 / t
-    s2 = math.sqrt(A * A + 4.0 * eps * c2)
-    s3 = math.sqrt(A * A + 4.0 * eps * c3)
-    if A > 0:
-        # (A - s) / (2 eps) would subtract nearly equal numbers here.
-        m2, m3 = -2.0 * c2 / (A + s2), -2.0 * c3 / (A + s3)
-    else:
-        m2, m3 = (A - s2) / (2.0 * eps), (A - s3) / (2.0 * eps)
-    x = -c1 / t - eps * (m2 + m3)
-    return t, m2, m3, x
+def _bisect(f, lo, hi):
+    """Bisect f, negative left of its one sign change in [lo, hi] and
+    nonnegative right of it, until the midpoint stops moving; returns that
+    midpoint. f(lo) and f(hi) are never evaluated."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _branch_at(A: float, c, eps: float):
+    """(x, (m1, m2, m3), (q1, q2, q3)) on the decaying real branch at
+    A = x + eps*mbar > 0."""
+    s = [math.sqrt(A * A + 4.0 * eps * cl) for cl in c]
+    x = 0.5 * (s[0] + s[1] + s[2] - A)
+    m = tuple(-2.0 * cl / (A + sl) for cl, sl in zip(c, s))
+    q = tuple(math.sqrt(2.0 * A / (A + sl)) for sl in s)
+    return x, m, q
 
 
 @functools.lru_cache(maxsize=256)
 def _edge_point(c, eps: float):
-    """(edge abscissa, branch parameter t at the edge) for ratios c, cached."""
+    """(edge abscissa, A at the edge) for ratios c, cached."""
 
-    def x_of(t):
-        return _branch_at(t, c, eps)[3]
+    def slope(A):  # 2 dx/dA
+        return sum(A / math.sqrt(A * A + 4.0 * eps * cl) for cl in c) - 1.0
 
-    # Coarse geometric scan for a bracket around the minimum of x(t).
-    scale = math.sqrt(c[0] / eps)
-    ts = -scale * np.logspace(-4, 3, 400)
-    xs = [x_of(float(t)) for t in ts]
-    i = int(np.argmin(xs))
-    a, b = float(ts[min(i + 1, len(ts) - 1)]), float(ts[max(i - 1, 0)])
-    # Golden-section refinement; the minimum is quadratic, so the edge value
-    # is accurate to machine precision long before t is.
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = x_of(x1), x_of(x2)
-    for _ in range(120):
-        if b - a < 1e-13 * max(1.0, abs(a)):
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = x_of(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = x_of(x2)
-    t_edge = 0.5 * (a + b)
-    return x_of(t_edge), t_edge
+    A = _bisect(slope, 0.0, 2.0 * math.sqrt(eps))
+    return _branch_at(A, c, eps)[0], A
 
 
 def support_edge(p: ModelParams) -> float:
@@ -265,33 +264,23 @@ def support_edge(p: ModelParams) -> float:
     return _edge_point(p.ratios, p.epsilon)[0]
 
 
-def _branch_solution(p: ModelParams, t: float) -> StieltjesSolution:
-    *m, x = _branch_at(t, p.ratios, p.epsilon)
-    return StieltjesSolution(x, *m, _residual(x, p.ratios, p.epsilon, m))
-
-
 def real_branch_stieltjes(x: float, p: ModelParams) -> StieltjesSolution:
-    """Decaying real-axis branch at x, strictly right of the support edge.
+    """Decaying real-axis branch at x, at or right of the support edge.
 
-    Raises OutsideSupportError for x at or inside the support.
+    The returned solution sits at the branch point nearest x (its z is
+    x(A) at the bisected A). Raises OutsideSupportError for x inside the
+    support.
     """
     x = float(x)
     if x <= 0:
         raise ValueError("the real branch is evaluated right of the support, x > 0")
-    edge, t_edge = _edge_point(p.ratios, p.epsilon)
+    c, eps = p.ratios, p.epsilon
+    edge, A_edge = _edge_point(c, eps)
     if x < edge:
         raise OutsideSupportError(f"x={x} lies inside the support (edge {edge})")
-    # x(t) increases from the edge value to +infinity as t rises to 0-.
-    lo, hi = t_edge, -1e-300
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _branch_at(mid, p.ratios, p.epsilon)[3] < x:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= abs(lo) * 1e-16:
-            break
-    return _branch_solution(p, 0.5 * (lo + hi))
+    A = _bisect(lambda A: _branch_at(A, c, eps)[0] - x, A_edge, x)
+    z, m, _ = _branch_at(A, c, eps)
+    return StieltjesSolution(z, *m, _residual(z, c, eps, m))
 
 
 def limiting_density(
@@ -323,73 +312,50 @@ def limiting_density(
     return DensityCurve(grid, density, eta)
 
 
-def _qs(sol: StieltjesSolution, p: ModelParams):
-    return tuple(
-        math.sqrt(max(0.0, 1.0 - p.epsilon * (m.real ** 2) / c))
-        for m, c in zip(sol.values, p.ratios)
-    )
-
-
-def _spike_objective(t, p, beta):
-    """F(t) = x + eps*mbar - eps*beta*q1*q2*q3 on the branch, and the branch."""
-    sol = _branch_solution(p, t)
-    q1, q2, q3 = _qs(sol, p)
-    F = sol.z.real + p.epsilon * sol.mbar.real - p.epsilon * beta * q1 * q2 * q3
-    return F, sol
 
 
 def solve_spike(p: ModelParams) -> SpikePrediction:
     """Root of the spike equation right of the support edge.
 
-    The spike equation F = 0 is solved on the branch parameter t = m1 in
-    (t_edge, 0), where x(t) and m_l(t) are explicit. F tends to +infinity as
-    t rises to 0- and crosses zero at most once on the branch (checked by a
-    property test over skewed ratios, small eps and beta around the
-    threshold), so a root exists exactly when F(t_edge) < 0, i.e. when beta
-    exceeds beta_threshold(p). It is then bisected on [t_edge, 0-) until the
-    midpoint stops moving. Below the threshold the infeasible marker (all
-    q = 0) is returned.
+    F(A) = A - eps*beta*q1*q2*q3 crosses zero at most once right of the
+    edge (checked by a property test over skewed ratios, small eps and beta
+    around the threshold) and is positive at A = eps*beta, where every
+    q_l < 1. So a root exists exactly when F(A_edge) < 0, i.e. when beta
+    exceeds beta_threshold(p), and it is bisected on (A_edge, eps*beta).
+    Below the threshold the infeasible marker (all q = 0) is returned. The
+    residual substitutes the branch point into x + eps*mbar -
+    eps*beta*q1*q2*q3, with q_l from 1 - eps*m_l^2/c_l.
     """
     if p.beta is None:
         raise ValueError("solve_spike needs beta set on the parameters")
-    beta = p.beta
-    lo, hi = _edge_point(p.ratios, p.epsilon)[1], 0.0
-    if _spike_objective(lo, p, beta)[0] >= 0.0:
+    c, eps, beta = p.ratios, p.epsilon, p.beta
+
+    def F(A):
+        q1, q2, q3 = _branch_at(A, c, eps)[2]
+        return A - eps * beta * q1 * q2 * q3
+
+    A_edge = _edge_point(c, eps)[1]
+    if F(A_edge) >= 0.0:
         return INFEASIBLE
-    while True:  # F(lo) < 0 < F(hi); t = 0 itself is never evaluated
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if _spike_objective(mid, p, beta)[0] < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    F_val, sol = _spike_objective(mid, p, beta)
-    q1, q2, q3 = _qs(sol, p)
-    return SpikePrediction(
-        sol.z.real,
-        q1,
-        q2,
-        q3,
-        tuple(m.real for m in sol.values),
-        True,
-        residual=abs(F_val),
-    )
+    sigma, m, q = _branch_at(_bisect(F, A_edge, eps * beta), c, eps)
+    r1, r2, r3 = (math.sqrt(1.0 - eps * ml * ml / cl) for ml, cl in zip(m, c))
+    residual = sigma + eps * (m[0] + m[1] + m[2]) - eps * beta * r1 * r2 * r3
+    return SpikePrediction(sigma, *q, m, True, residual=abs(residual))
 
 
 def beta_threshold(p: ModelParams, tol: float = 1e-9) -> float:
     """Smallest beta for which the spike equation has a root.
 
     By the single crossing of F (see solve_spike) this is the beta that puts
-    the root on the support edge, F(t_edge) = 0:
+    the root on the support edge, F(A_edge) = 0:
 
-        beta_s = (edge + eps*mbar(edge)) / (eps * q1*q2*q3(edge)).
+        beta_s = A_edge / (eps * q1*q2*q3(A_edge)).
 
     `tol` is accepted for compatibility and has no effect.
     """
-    sol = _branch_solution(p, _edge_point(p.ratios, p.epsilon)[1])
-    q1, q2, q3 = _qs(sol, p)
-    return (sol.z.real + p.epsilon * sol.mbar.real) / (p.epsilon * q1 * q2 * q3)
+    A = _edge_point(p.ratios, p.epsilon)[1]
+    q1, q2, q3 = _branch_at(A, p.ratios, p.epsilon)[2]
+    return A / (p.epsilon * q1 * q2 * q3)
 
 
 # Tensor order d of the equal-ratio closed forms below.

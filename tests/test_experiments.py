@@ -115,7 +115,6 @@ class TestRunSpikeCurve:
             n_total=60,
             epsilon=1.0,
             beta_grid=(0.5, 1.0, 2.0, 4.0),
-            trials=0,
             out=tmp_path,
         )
         run_spike_curve(cfg)
@@ -522,6 +521,28 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["worst_rel_error"] < 1e-3
         assert (tmp_path / "derivative_check.csv").exists()
+
+    @pytest.mark.parametrize("entries", ["0", "-3"])
+    def test_derivative_check_rejects_no_entries(self, tmp_path, capsys, entries):
+        # A check that compares no entry is a usage error, not a pass.
+        code = main(
+            ["derivative-check", "--entries", entries, "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "entries must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "derivative_check.csv").exists()
+
+    @pytest.mark.parametrize("flag", ["--trials", "--restarts"])
+    def test_rejects_zero_trials_and_restarts(self, tmp_path, capsys, flag):
+        code = main(
+            ["epsilon-sweep", "--shape", "6,6,6", "--epsilon-grid", "0.5",
+             flag, "0", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "epsilon_sweep.csv").exists()
+        with pytest.raises(ValueError, match="must be at least 1"):
+            ExperimentConfig(**{flag[2:]: 0})
 
     def test_derivative_check_ratios(self, tmp_path, capsys):
         # --ratios with --n-total sets the shape, as in the other commands.

@@ -21,8 +21,8 @@ from punctured_tensor import (
 )
 from punctured_tensor.rmt_theory import (
     OutsideSupportError,
+    _branch_at,
     _edge_point,
-    _spike_objective,
 )
 
 CUBIC = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -73,6 +73,56 @@ def _mp_stieltjes(z, c, eps, digits=40):
             if eta == z.imag:
                 return [complex(ml) for ml in m]
             eta /= 2
+
+
+def _mp_real_axis(c, eps, beta, digits=60):
+    """Reference (edge, beta_s, sigma, q) at `digits` significant digits,
+    independent of the solver under test: the real branch parametrized by
+    t = m1 < 0, where A = eps*t - c1/t, m_l = (A - sqrt(A^2 + 4*eps*c_l)) /
+    (2*eps) for l = 2, 3 and x = -c1/t - eps*(m2 + m3). The edge is the zero
+    of dx/dt, found by bisection on its sign; sigma is the bisected root in t
+    of x + eps*mbar - eps*beta*q1*q2*q3. sigma and q are None below the
+    threshold."""
+    with mpmath.workdps(digits):
+        c1, c2, c3 = (mpmath.mpf(cl) for cl in c)
+        eps, beta = mpmath.mpf(eps), mpmath.mpf(beta)
+
+        def branch(t):
+            A = eps * t - c1 / t
+            s2 = mpmath.sqrt(A * A + 4 * eps * c2)
+            s3 = mpmath.sqrt(A * A + 4 * eps * c3)
+            m = (t, (A - s2) / (2 * eps), (A - s3) / (2 * eps))
+            x = -c1 / t - eps * (m[1] + m[2])
+            q = [mpmath.sqrt(1 - eps * ml * ml / cl) for ml, cl in zip(m, (c1, c2, c3))]
+            return x, m, q, A, s2, s3
+
+        def dx_dt(t):
+            _, _, _, A, s2, s3 = branch(t)
+            return c1 / t**2 - (2 - A / s2 - A / s3) * (eps + c1 / t**2) / 2
+
+        def spike(t):
+            x, m, q, *_ = branch(t)
+            return x + eps * sum(m) - eps * beta * q[0] * q[1] * q[2]
+
+        def bisect(f, lo, hi):
+            for _ in range(4 * digits):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+            return (lo + hi) / 2
+
+        scale = mpmath.sqrt(c1 / eps)
+        lo, hi = -scale * 10**4, -scale / 10**6
+        assert dx_dt(lo) < 0 < dx_dt(hi)
+        t_edge = bisect(dx_dt, lo, hi)
+        edge, m, q, *_ = branch(t_edge)
+        beta_s = (edge + eps * sum(m)) / (eps * q[0] * q[1] * q[2])
+        if not beta > beta_s:
+            return edge, beta_s, None, None
+        hi = t_edge / 2
+        while spike(hi) <= 0:
+            hi /= 2
+        sigma, _, q, *_ = branch(bisect(spike, t_edge, hi))
+        return edge, beta_s, sigma, q
 
 
 class TestModelParams:
@@ -153,6 +203,17 @@ class TestRealBranch:
         cplx = solve_stieltjes(complex(x, 1e-9), p)
         for a, b in zip(real_sol.values, cplx.values):
             assert abs(a.real - b.real) < 1e-6
+
+    @pytest.mark.parametrize(
+        "c, eps", [(CUBIC, 0.25), (SKEW, 0.05), ((0.001, 0.499, 0.5), 0.01)]
+    )
+    def test_at_the_edge(self, c, eps):
+        # x = edge itself lies on the branch.
+        p = _params(c, eps)
+        edge = support_edge(p)
+        sol = real_branch_stieltjes(edge, p)
+        assert abs(sol.z - edge) <= 4.0 * np.finfo(float).eps * edge
+        assert _residual_by_substitution(sol, c, eps) < 1e-14
 
     def test_inside_support_raises(self):
         p = _params(CUBIC, 0.5)
@@ -286,6 +347,37 @@ class TestSpike:
             solve_spike(_params(CUBIC, 0.5))
 
 
+class TestRealAxisReference:
+    """The edge, beta_s and the spike against a 60-digit reference built on
+    the t = m1 parametrization, to 8 machine epsilons (relative for the
+    edge, beta_s and sigma, absolute for q)."""
+
+    @pytest.mark.parametrize(
+        "c, eps, beta",
+        [
+            ((0.001, 0.499, 0.5), 0.01, 25.0),
+            (CUBIC, 0.25, 4.0),
+            (SKEW, 0.25, 4.0),
+            ((0.375, 0.03125, 0.59375), 0.5, 3.0),
+            ((0.01, 0.09, 0.9), 0.05, 20.0),
+            ((0.2, 0.3, 0.5), 1.0, 1.5),
+            ((0.6, 0.3, 0.1), 0.7, 30.0),
+            ((0.45, 0.45, 0.1), 0.1, 1.0),
+        ],
+    )
+    def test_matches_mpmath(self, c, eps, beta):
+        tol = 8.0 * np.finfo(float).eps
+        p = _params(c, eps, beta=beta)
+        edge, beta_s, sigma, q = _mp_real_axis(c, eps, beta)
+        assert abs(support_edge(p) - edge) <= tol * edge
+        assert abs(beta_threshold(p) - beta_s) <= tol * beta_s
+        pred = solve_spike(p)
+        assert pred.feasible == (sigma is not None)
+        if pred.feasible:
+            assert abs(pred.sigma_inf - sigma) <= tol * sigma
+            assert all(abs(a - b) <= tol for a, b in zip(pred.q, q))
+
+
 @st.composite
 def _ratios(draw, lo=1e-3):
     """Mode ratios summing to 1, each at least lo, in any order."""
@@ -307,13 +399,22 @@ class TestSpikeProperties:
     @given(c=_ratios(), eps=_EPS, beta=_BETA)
     def test_single_crossing(self, c, eps, beta):
         # F changes sign at most once along the branch: no interior dip can
-        # add roots that the edge test in solve_spike would miss.
+        # add roots that the edge test in solve_spike would miss. F is
+        # evaluated by substitution into x + eps*mbar - eps*beta*q1*q2*q3,
+        # with q_l from 1 - eps*m_l^2/c_l, at A = A_edge / scale from
+        # A_edge to 1e8 * A_edge.
         p = _params(c, eps, beta=beta)
-        t_edge = _edge_point(p.ratios, p.epsilon)[1]
+        A_edge = _edge_point(p.ratios, p.epsilon)[1]
         scale = np.concatenate(
             [np.linspace(1.0, 1e-3, 1000), np.geomspace(1e-3, 1e-8, 100)[1:]]
         )
-        F = np.array([_spike_objective(t_edge * s, p, beta)[0] for s in scale])
+
+        def objective(A):
+            x, m, _ = _branch_at(A, c, eps)
+            q = [math.sqrt(1.0 - eps * ml * ml / cl) for ml, cl in zip(m, c)]
+            return x + eps * sum(m) - eps * beta * q[0] * q[1] * q[2]
+
+        F = np.array([objective(A_edge / float(s)) for s in scale])
         assert np.count_nonzero(np.diff(F < 0.0)) <= 1
         assert F[-1] > 0.0
         assert solve_spike(p).feasible == (beta > beta_threshold(p))
