@@ -107,15 +107,20 @@ class ExperimentConfig:
 
 def shape_from_ratios(ratios, n_total: int) -> Shape3:
     """Integer dimensions approximating the ratios, summing exactly to N
-    (largest-remainder rounding)."""
+    (largest-remainder rounding). A share that rounds to 0 gets 1, taken
+    from the largest dimension."""
     c = np.asarray(ratios, dtype=float)
     if c.shape != (3,) or np.any(c <= 0) or abs(c.sum() - 1.0) > 1e-9:
         raise ValueError("ratios must be three positive numbers summing to 1")
+    if n_total < 3:
+        raise ValueError("n_total must be at least 3")
     raw = c * n_total
     dims = np.floor(raw).astype(int)
     for idx in np.argsort(raw - dims)[::-1][: n_total - dims.sum()]:
         dims[idx] += 1
-    dims = np.maximum(dims, 1)
+    for idx in np.flatnonzero(dims == 0):
+        dims[idx] = 1
+        dims[np.argmax(dims)] -= 1
     return Shape3(int(dims[0]), int(dims[1]), int(dims[2]))
 
 

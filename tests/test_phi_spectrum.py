@@ -289,6 +289,42 @@ class TestStructuralEigenpairs:
         bad = dataclasses.replace(cp, sigma=cp.sigma * (1.0 + 1e-3))
         assert not check_structural_eigenpairs(phi, bad, tol=1e-8).passed
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loose_point_keeps_its_top_eigenvalue_out(self, seed):
+        # Polished to tol 1e-3, the eigenvalue nearest 2 sigma misses 2 sigma
+        # by more than tol * max(1, 2 sigma). It still stands for 2 sigma: the
+        # bulk residual is that offset, bounded by the point's own
+        # eigenpair defect, not about sigma.
+        tm, _, cp = _instance(Shape3(15, 18, 21), 4.0, 0.5, seed, tol=1e-3)
+        phi = build_phi(tm, cp.u, cp.v, cp.w)
+        offset = float(np.min(np.abs(phi.eigenvalues - 2.0 * cp.sigma)))
+        assert offset > 1e-8 * max(1.0, 2.0 * cp.sigma)
+        r1, _, r3 = (c.residual for c in check_structural_eigenpairs(phi, cp).checks)
+        assert r3 == pytest.approx(offset, rel=1e-12)
+        assert r3 <= r1 / np.sqrt(3.0)
+
+    def test_second_eigenvalue_near_two_sigma_fails(self):
+        # Phi of an exact rank-one tensor at its planted point, plus a coupling
+        # of the tangent directions a (mode 1) and b (mode 2) with eigenvalue
+        # 2 sigma (1 - 1e-10): within tol of 2 sigma, but a second one. Only
+        # the bulk check fails.
+        sh = Shape3(4, 5, 6)
+        sig = SignalTriple.random(sh, 3.0, RngSeed(7))
+        t = Tensor3(3.0 * np.einsum("i,j,k->ijk", sig.x, sig.y, sig.z))
+        cp = solve_critical_point(t, SolverConfig(reference=sig))
+        M = build_phi(t, cp.u, cp.v, cp.w).matrix.copy()
+        gen = np.random.default_rng(7)
+        a = gen.standard_normal(4)
+        a -= (a @ cp.u) * cp.u
+        b = gen.standard_normal(5)
+        b -= (b @ cp.v) * cp.v
+        c = 2.0 * cp.sigma * (1.0 - 1e-10)
+        M[:4, 4:9] += c * np.outer(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        M[4:9, :4] = M[:4, 4:9].T
+        report = check_structural_eigenpairs(PhiMatrix(sh, M), cp, tol=1e-8)
+        assert [c.name for c in report.failures()] == ["bulk_bounded_by_sigma"]
+        assert report.checks[2].residual == pytest.approx(cp.sigma, rel=1e-9)
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         dims=st.tuples(*[st.integers(3, 25)] * 3),

@@ -1,7 +1,9 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from punctured_tensor import (
     ConvergenceError,
@@ -13,6 +15,7 @@ from punctured_tensor import (
     SolverConfig,
     Tensor3,
     alignments,
+    build_phi,
     generate_spiked,
     hadamard,
     heuristic1_diagnostic,
@@ -223,43 +226,74 @@ def _random_start(shape, seed):
     return tuple(gen.standard_normal(n) for n in shape)
 
 
+def _factor_gap(a, b):
+    """Max-norm distance between the factors of two (sigma, u, v, w, ...) points."""
+    return max(float(np.max(np.abs(x - y))) for x, y in zip(a[1:4], b[1:4]))
+
+
 class TestPolishReusesContractions:
-    """One sweep streams the tensor twice; the residual check adds no pass."""
+    """One sweep streams the tensor twice; the residual check adds no pass.
+    A Newton step streams it three times and its certificate once more."""
 
     def _cases(self):
+        """(name, tensor, config, sweeps, Newton outcome): "finished" when
+        Newton returns the point, "rejected" when its step fails and the
+        sweeps go on, None when it is not tried."""
         sh = Shape3(15, 20, 25)
         fast, _, _, sig = _masked_instance(sh, 4.0, 0.8, 0)
         starts = [_random_start(sh.dims, r) for r in range(4)]
         scanned = scan_restarts(fast, starts, 20)[0][1:]
         slow, _, _, _ = _masked_instance(sh, 2.0, 0.15, 2)
         slow_start = _random_start(sh.dims, 2)
+        weak, _, _, _ = _masked_instance(sh, 0.5, 0.8, 21)
+        weak_start = _random_start(sh.dims, 21)
         return [
-            ("planted", fast, SolverConfig(tol=1e-10, reference=sig), None),
-            ("scanned", fast, SolverConfig(tol=1e-4, factors=scanned), 2),
-            ("slow", slow, SolverConfig(tol=1e-6, factors=slow_start), None),
+            ("planted", fast, SolverConfig(tol=1e-10, reference=sig), None,
+             "finished"),
+            ("scanned", fast, SolverConfig(tol=1e-4, factors=scanned), 2, None),
+            ("slow", slow, SolverConfig(tol=1e-6, factors=slow_start), None,
+             "finished"),
+            ("rejected", weak, SolverConfig(tol=1e-6, factors=weak_start), None,
+             "rejected"),
         ]
 
     def test_bit_identical_to_old_loop(self):
-        for name, tm, cfg, sweeps in self._cases():
+        # A solve whose Newton finish is not tried or fails returns the old
+        # loop's point bit for bit. A Newton finish returns, in fewer sweeps,
+        # a point no farther from the old loop's tol-1e-14 point than the
+        # old loop's own point at the same tol.
+        for name, tm, cfg, sweeps, newton in self._cases():
             cp = solve_critical_point(tm, cfg)
-            sigma, u, v, w, residual, iterations = _old_polish(tm, cfg)
-            assert cp.sigma == sigma, name
-            assert np.array_equal(cp.u, u), name
-            assert np.array_equal(cp.v, v), name
-            assert np.array_equal(cp.w, w), name
-            assert cp.residual == residual, name
-            assert cp.iterations == iterations, name
+            old = _old_polish(tm, cfg)
+            sigma, u, v, w, residual, iterations = old
+            assert (cp.newton_steps > 0) == (newton is not None), name
+            if newton == "finished":
+                ref = _old_polish(tm, replace(cfg, tol=1e-14, max_iter=100_000))
+                assert cp.residual <= cfg.tol, name
+                assert cp.iterations < iterations, name
+                assert abs(cp.sigma - ref[0]) <= abs(sigma - ref[0]), name
+                gap = _factor_gap((cp.sigma, cp.u, cp.v, cp.w), ref)
+                assert gap <= _factor_gap(old, ref), name
+            else:
+                assert cp.sigma == sigma, name
+                assert np.array_equal(cp.u, u), name
+                assert np.array_equal(cp.v, v), name
+                assert np.array_equal(cp.w, w), name
+                assert cp.residual == residual, name
+                assert cp.iterations == iterations, name
             if sweeps is not None:
                 assert cp.iterations == sweeps, name
             if name == "slow":
-                # Past the it % 200 check, which did not return.
-                assert cp.iterations > 200
+                # The old loop goes past the it % 200 check, which did not return.
+                assert iterations > 200
 
     @pytest.mark.parametrize("max_iter", [1, 250])
     def test_convergence_error_residual_unchanged(self, max_iter):
+        # tol 1e-18 is below the residual's rounding floor: the power sweeps
+        # cannot reach it and a Newton finish, tried at 250 sweeps, fails.
         tm, _, _, _ = _masked_instance(Shape3(15, 20, 25), 2.0, 0.15, 2)
         cfg = SolverConfig(
-            tol=1e-8, max_iter=max_iter, factors=_random_start((15, 20, 25), 2)
+            tol=1e-18, max_iter=max_iter, factors=_random_start((15, 20, 25), 2)
         )
         with pytest.raises(ConvergenceError) as new:
             solve_critical_point(tm, cfg)
@@ -275,13 +309,134 @@ class TestPolishReusesContractions:
             return contract_one(*args, **kwargs)
 
         monkeypatch.setattr(rank_one, "contract_one", counted)
-        for name, tm, cfg, _ in self._cases():
+        extra = {None: 0, "rejected": 0, "finished": 1}  # the certificate's pass
+        for name, tm, cfg, _, newton in self._cases():
             calls.clear()
             cp = solve_critical_point(tm, cfg)
-            assert len(calls) == 2 * cp.iterations + 1, name
+            sweeps = 2 * cp.iterations + 1
+            assert len(calls) == sweeps + 3 * cp.newton_steps + extra[newton], name
+            assert calls.count(2) == cp.newton_steps + extra[newton], name
             calls.clear()
             first_order_residual(tm, cp)
             assert sorted(calls) == [1, 3], name
+
+
+def _tangent_top(tm, cp):
+    """Largest eigenvalue of Phi on the tangent space of the three spheres at
+    cp: Phi projected on the complement of [u;0;0], [0;v;0] and [0;0;w]."""
+    phi = build_phi(tm, cp.u, cp.v, cp.w).matrix
+    N = phi.shape[0]
+    radial = np.zeros((N, 3))
+    lo = np.cumsum((0,) + tm.shape.dims)
+    for k, f in enumerate((cp.u, cp.v, cp.w)):
+        radial[lo[k] : lo[k + 1], k] = f
+    Q = np.linalg.qr(np.hstack([radial, np.eye(N)]))[0][:, 3:N]
+    return float(np.max(np.linalg.eigvalsh(Q.T @ phi @ Q)))
+
+
+def _sweeps(tm, sig, count):
+    """The solver's state after `count` power sweeps from the planted start:
+    (sigma, u, v, w, tm(:, :, w), tm(u, :, :), residual)."""
+    u, v, w = sig.x, sig.y, sig.z
+    for _ in range(count):
+        M3 = contract_one(tm, 3, w)
+        u = M3 @ v / np.linalg.norm(M3 @ v)
+        v = M3.T @ u / np.linalg.norm(M3.T @ u)
+        M1 = contract_one(tm, 1, u)
+        w = M1.T @ v
+        sigma = float(np.linalg.norm(w))
+        w = w / sigma
+    M3 = contract_one(tm, 3, w)
+    residual = first_order_residual(tm, CriticalPoint(sigma, u, v, w))
+    return (sigma, u, v, w, M3, M1, residual)
+
+
+class TestNewtonFinish:
+    def test_step_matches_dense_solve(self):
+        # The step eliminates the w block; it equals x + delta for the dense
+        # solve of (Phi - sigma I) delta = -r.
+        tm, _, _, sig = _masked_instance(Shape3(7, 9, 11), 2.0, 0.6, 3)
+        sigma, u, v, w, M3, M1, _ = _sweeps(tm, sig, 3)
+        x = np.concatenate([u, v, w])
+        phi = build_phi(tm, u, v, w).matrix
+        # Phi x / 2 = [tm(:, v, w); tm(u, :, w); tm(u, v, :)].
+        r = phi @ x / 2.0 - sigma * x
+        want = x + np.linalg.solve(phi - sigma * np.eye(x.size), -r)
+        B = rank_one._w_rows(tm, v, M1)
+        got = np.concatenate(rank_one._newton_step(B, M3, M1, sigma, u, v, w))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_certificate_matches_dense(self, seed):
+        # The Schur complement on the w block is positive definite exactly
+        # when sigma I - Phi + 2 sigma s s^T is, s = [u; v; w] / sqrt(3):
+        # at converged points and at sigma moved by +-10%.
+        gen = np.random.default_rng(seed)
+        dims = tuple(int(n) for n in gen.integers(3, 15, size=3))
+        tm, _, _, _ = _masked_instance(Shape3(*dims), 1.0 + seed, 0.5, seed)
+        cp = solve_critical_point(
+            tm, SolverConfig(max_iter=100_000, factors=_random_start(dims, seed))
+        )
+        phi = build_phi(tm, cp.u, cp.v, cp.w).matrix
+        s = np.concatenate([cp.u, cp.v, cp.w]) / np.sqrt(3.0)
+        B = rank_one._w_rows(tm, cp.v, contract_one(tm, 1, cp.u))
+        M3 = contract_one(tm, 3, cp.w)
+        for sigma in (cp.sigma, 0.9 * cp.sigma, 1.1 * cp.sigma):
+            C = sigma * np.eye(s.size) - phi + 2.0 * sigma * np.outer(s, s)
+            lowest = float(np.min(np.linalg.eigvalsh(C)))
+            assert abs(lowest) > 1e-9 * sigma  # the sign is not a rounding
+            certified = rank_one._certified(B, M3, sigma, cp.u, cp.v, cp.w)
+            assert certified == (lowest > 0.0)
+
+    def test_certificate_refuses_a_saddle(self, monkeypatch):
+        # From the planted start at 13x20x15, eps 0.2, beta 3, seed 20, three
+        # power sweeps and then Newton steps converge to a saddle: sigma
+        # 0.78480, with Phi above sigma on the tangent space. The certificate
+        # refuses it. The solve itself reaches the local maximum, sigma
+        # 0.80848: its sweeps reach that maximum's basin before a Newton try.
+        tm, _, _, sig = _masked_instance(Shape3(13, 20, 15), 3.0, 0.2, 20)
+        seen = []
+        certified = rank_one._certified
+
+        def recorded(B, M3, sigma, u, v, w):
+            ok = certified(B, M3, sigma, u, v, w)
+            seen.append((CriticalPoint(sigma, u, v, w), ok))
+            return ok
+
+        monkeypatch.setattr(rank_one, "_certified", recorded)
+        start = _sweeps(tm, sig, 3)
+        point, steps = rank_one._newton_finish(tm, start, 1e-12, 30, 1e-13)
+        assert point is None and steps <= 30
+        (saddle, ok), = seen
+        assert not ok
+        assert abs(saddle.sigma - 0.78480) < 1e-5
+        assert first_order_residual(tm, saddle) <= 1e-12
+        assert _tangent_top(tm, saddle) > 1.01 * saddle.sigma
+        cp = solve_critical_point(tm, SolverConfig(reference=sig))
+        assert abs(cp.sigma - 0.80848) < 1e-5
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        dims=st.tuples(*[st.integers(3, 20)] * 3),
+        eps=st.floats(0.2, 1.0),
+        beta=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**16),
+        planted=st.booleans(),
+    )
+    @example(dims=(13, 20, 15), eps=0.2, beta=3.0, seed=20, planted=True)
+    def test_returns_local_maxima(self, dims, eps, beta, seed, planted):
+        # Every point returned at tol 1e-12, by power sweeps or by a
+        # certified Newton finish, is a local maximum: Phi <= sigma on the
+        # tangent space (second-order condition). Random and planted starts,
+        # beta from 0 (pure noise) to well above the threshold.
+        tm, _, _, sig = _masked_instance(Shape3(*dims), beta, eps, seed)
+        start = None if planted else _random_start(dims, seed)
+        cfg = SolverConfig(tol=1e-12, max_iter=100_000, factors=start, reference=sig)
+        try:
+            cp = solve_critical_point(tm, cfg)
+        except (ConvergenceError, DegeneratePointError):
+            return  # no point returned
+        assert _tangent_top(tm, cp) <= cp.sigma * (1.0 + 1e-9)
 
 
 def _scan64(tm, starts, sweeps):
