@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rank_one import CriticalPoint
+from .rank_one import CriticalPoint, _solve_zero_block
 from .tensor_core import (
     DimensionMismatchError,
     RngSeed,
@@ -123,19 +123,20 @@ def _block_eigvalsh(shape: Shape3, M: np.ndarray) -> np.ndarray:
     padded with n_L - min(n_L, m) zero rows and columns. So the spectrum is
     that core's plus max(0, n_L - m) exact zeros.
     """
-    dims = shape.dims
-    big = int(np.argmax(dims))
-    lo, hi = sum(dims[:big]), sum(dims[: big + 1])
-    rest = np.r_[0:lo, hi : shape.N]
+    rest, big = _largest_block(shape)
     m = rest.size
-    r = np.linalg.qr(M[lo:hi, rest], mode="r")  # M[L, rest] = C^T
+    r = np.linalg.qr(M[big, rest], mode="r")  # M[L, rest] = C^T
     k = r.shape[0]
-    core = np.zeros((m + k, m + k))
-    core[:m, :m] = M[np.ix_(rest, rest)]
-    core[m:, :m] = r
-    core[:m, m:] = r.T
+    core = np.block([[M[np.ix_(rest, rest)], r.T], [r, np.zeros((k, k))]])
     vals = np.linalg.eigvalsh(core)
-    return np.sort(np.concatenate([vals, np.zeros(dims[big] - k)]))
+    return np.sort(np.concatenate([vals, np.zeros(shape.N - m - k)]))
+
+
+def _largest_block(shape: Shape3):
+    """Indices outside Phi's largest diagonal block, and that block's slice."""
+    b = int(np.argmax(shape.dims))
+    lo, hi = sum(shape.dims[:b]), sum(shape.dims[: b + 1])
+    return np.r_[0:lo, hi : shape.N], slice(lo, hi)
 
 
 def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
@@ -284,22 +285,25 @@ def spike_decomposition_residual(
 
 
 def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
-    """Solve (Phi - sigma I) q = rhs by a direct dense solve.
+    """Solve (Phi - sigma I) q = rhs with Phi's largest zero diagonal block
+    eliminated, as in the Newton step (rank_one._solve_zero_block).
 
     Refuses when sigma sits within GAP_TOL of an eigenvalue of Phi's
-    cached spectrum.
+    cached spectrum, or of 0, by which the elimination divides.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape[0] != phi.shape.N:
         raise DimensionMismatchError("right-hand side length does not match N")
-    gap = float(np.min(np.abs(phi.eigenvalues - sigma)))
+    gap = float(np.min(np.abs(np.append(phi.eigenvalues, 0.0) - sigma)))
     if gap <= GAP_TOL:
         raise SingularResolventError(
-            f"sigma={sigma} is within {gap:.3e} of an eigenvalue"
+            f"sigma={sigma} is within {gap:.3e} of an eigenvalue or of 0"
         )
-    shifted = phi.matrix.copy()
-    shifted.flat[:: phi.shape.N + 1] -= sigma
-    return np.linalg.solve(shifted, rhs)
+    rest, big = _largest_block(phi.shape)
+    C, q = phi.matrix[rest, big], np.empty_like(rhs)
+    q[rest], q[big] = _solve_zero_block(
+        phi.matrix[np.ix_(rest, rest)], C, C @ C.T, sigma, rhs[rest], rhs[big])
+    return q
 
 
 def predict_factor_derivative(

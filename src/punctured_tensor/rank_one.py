@@ -7,14 +7,14 @@ orders can reach different (sign-equivalent) critical points from the same
 start. One sweep streams the tensor twice, for tm(:, :, w) and tm(u, :, :);
 the residual check reuses those two contractions instead of making its own.
 
-The sweeps converge linearly. Where the rate they show leaves more sweeps to
-go than a few Newton steps cost, the solve tries a Newton finish: the
-Jacobian of the first-order map is Phi(u, v, w) itself, so each step solves
-(Phi - sigma I) delta = -r and renormalizes each block. A Newton step
-streams the tensor three times (tm(:, v, :) for Phi, then tm(:, :, w) and
-tm(u, :, :) at the new point) and the certificate of its result once more.
-Newton returns a point only once it is certified a local maximum: Phi <
-sigma on the tangent space of the three spheres (Lim 2005).
+The sweeps converge linearly, at about lambda_bulk / sigma per sweep. Where
+that leaves more sweeps to go than Newton steps cost, the solve finishes by
+shifted Newton steps: Phi(u, v, w) is the Jacobian of the first-order map,
+so a step solves (Phi - (sigma + mu) I) delta = -r and renormalizes each
+block. The shift mu keeps Phi - (sigma + mu) I negative definite on the
+tangent space of the three spheres, so steps climb from far out (Absil,
+Baker & Gallivan 2007; More & Sorensen 1983). A point is returned only once
+certified a local maximum: Phi < sigma on that tangent space (Lim 2005).
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class CriticalPoint:
     w: np.ndarray
     residual: float = 0.0
     iterations: int = 0  # power sweeps
-    newton_steps: int = 0  # Newton steps taken, kept or not
+    newton_steps: int = 0  # shifted Newton steps taken, kept or not
 
     def stacked(self) -> np.ndarray:
         """The factors concatenated as a single vector of length N."""
@@ -112,17 +112,16 @@ def _initial_factors(tm: Tensor3, cfg: SolverConfig):
 PASS_FLOPS = 10.0
 
 
-def _newton_budget(shape, sigma, residual, rate, tol, sweeps_left):
-    """Newton steps worth trying at this check, or 0 to keep sweeping.
+def _newton_pays(shape, sigma, residual, rate, tol, sweeps_left) -> bool:
+    """Whether to start the Newton finish at this check.
 
     The sweeps still needed are extrapolated from rate, the residual's
     contraction per sweep, and capped by the sweeps left before max_iter.
     Newton pays when they cost more than the steps that quadratic
-    convergence from residual to tol needs, plus the certificate. The
-    budget is the number of steps those sweeps would pay for.
+    convergence from residual to tol needs, plus the certificate.
     """
     if not 0.0 < residual < sigma:
-        return 0  # no scale for quadratic convergence yet
+        return False  # no scale for quadratic convergence yet
     if rate < 1.0:
         sweeps_left = min(sweeps_left, math.log(tol / residual) / math.log(rate))
     m, n3 = shape.n1 + shape.n2, shape.n3
@@ -133,63 +132,55 @@ def _newton_budget(shape, sigma, residual, rate, tol, sweeps_left):
     # Quadratic convergence squares residual / sigma with every step.
     doublings = math.log(tol / sigma) / math.log(residual / sigma)
     needed = max(1, math.ceil(math.log2(doublings)))
-    spare = sweeps_left * 2.0 * pass_ - certificate
-    return int(spare // step) if spare >= needed * step else 0
+    return sweeps_left * 2.0 * pass_ - certificate >= needed * step
 
 
-def _w_rows(tm, v, M1):
-    """B = [tm(:, v, :); tm(u, :, :)]: Phi's rows of the u and v blocks in
-    the columns of the w block (one pass, for tm(:, v, :))."""
-    return np.vstack([contract_one(tm, 2, v), M1])
+def _solve_zero_block(A, C, G, s, b1, b2):
+    """(q1, q2) for ([[A, C], [C^T, 0]] - s I) [q1; q2] = [b1; b2], s != 0,
+    G = C C^T. The zero block's rows give q2 = (C^T q1 - b2) / s, so q1
+    solves (A - s I + G / s) q1 = b1 + C b2 / s, of the first block's size."""
+    K = A + G / s
+    K.flat[:: K.shape[0] + 1] -= s
+    q1 = np.linalg.solve(K, b1 + C @ b2 / s)
+    return q1, (C.T @ q1 - b2) / s
 
 
-def _add_uv_block(K, M3):
-    """Add [[0, M3], [M3^T, 0]], Phi's u, v corner for M3, to K in place."""
-    n1 = M3.shape[0]
-    K[:n1, n1:] += M3
-    K[n1:, :n1] += M3.T
+def _phi_blocks(tm, v, M3, M1):
+    """(A, B, B B^T) for Phi = [[A, B], [B^T, 0]], the w block last:
+    A = [[0, M3], [M3^T, 0]], B = [tm(:, v, :); tm(u, :, :)] (one pass)."""
+    n1, n2 = M3.shape
+    A = np.block([[np.zeros((n1, n1)), M3], [M3.T, np.zeros((n2, n2))]])
+    B = np.vstack([contract_one(tm, 2, v), M1])
+    return A, B, B @ B.T
 
 
-def _newton_step(B, M3, M1, sigma, u, v, w):
-    """x + delta for (Phi - sigma I) delta = -r, with the w block eliminated.
-
-    Phi's w diagonal block is zero, so the w rows read B^T d - sigma e = -r_w
-    for delta = [d; e]: e = (B^T d + r_w) / sigma, and d solves the
-    (n1 + n2)-sized system (A - sigma I + B B^T / sigma) d = -r_uv - B r_w / sigma,
-    A = [[0, M3], [M3^T, 0]].
-    """
-    r_uv = np.concatenate([M3 @ v - sigma * u, M3.T @ u - sigma * v])
-    r_w = M1.T @ v - sigma * w
-    K = B @ B.T
-    K /= sigma
-    _add_uv_block(K, M3)
-    K.flat[:: K.shape[0] + 1] -= sigma
-    d = np.linalg.solve(K, -r_uv - B @ r_w / sigma)
-    e = (B.T @ d + r_w) / sigma
+def _newton_step(blocks, M1, sigma, s, u, v, w):
+    """x + delta for (Phi - s I) delta = -r, r = Phi x / 2 - sigma x the
+    first-order defect at x = [u; v; w]; blocks = _phi_blocks(...)."""
+    A, B, G = blocks
+    p = np.concatenate([u, v])
+    d, e = _solve_zero_block(A, B, G, s, sigma * p - A @ p, sigma * w - M1.T @ v)
     n1 = u.size
     return u + d[:n1], v + d[n1:], w + e
 
 
-def _certified(B, M3, sigma, u, v, w) -> bool:
-    """Whether C = sigma I - Phi + 2 sigma s s^T, s = [u; v; w] / sqrt(3), is
-    positive definite (np.linalg.cholesky).
+def _certified(blocks, sigma, s, u, v, w) -> bool:
+    """Whether C = s I - Phi + 2 sigma z z^T, z = [u; v; w] / sqrt(3), is
+    positive definite (np.linalg.cholesky), blocks = _phi_blocks(...).
 
-    Phi's eigenvalue 2 sigma on s turns into sigma in C and its -sigma pair
-    into 2 sigma, so at a critical point C is positive definite exactly when
-    Phi < sigma on the tangent space of the three spheres: a strict local
-    maximum (Lim 2005). C's w diagonal block sigma I + a w w^T, a = 2 sigma / 3,
-    is positive definite, so C is exactly when its Schur complement
-    C_uv - C_uv,w (sigma I + a w w^T)^-1 C_uv,w^T is, of size n1 + n2.
+    At s = sigma + mu it admits the shift mu. At s = sigma and a critical
+    point, Phi's eigenvalue 2 sigma on z turns into sigma in C and its
+    -sigma pair into 2 sigma, so C is positive definite exactly when Phi <
+    sigma on the tangent space: a strict local maximum (Lim 2005). With
+    T = [[I, B / s], [0, I]], T (s I - Phi) T^T = diag(-K, s I) for the
+    step's K = A - s I + B B^T / s, and T C T^T adds c y y^T, c = 2 sigma / 3,
+    y = T [u; v; w]; its Schur complement is -K + c s / (s + c) y_uv y_uv^T.
     """
-    a = 2.0 * sigma / 3.0
-    s_uv = np.concatenate([u, v])
-    C_uvw = np.multiply.outer(a * s_uv, w)
-    C_uvw -= B
-    g = C_uvw @ w
-    S = np.multiply.outer(a * s_uv, s_uv)
-    S -= (C_uvw @ C_uvw.T - a / (sigma + a) * np.multiply.outer(g, g)) / sigma
-    _add_uv_block(S, -M3)
-    S.flat[:: S.shape[0] + 1] += sigma
+    A, B, G = blocks
+    c = 2.0 * sigma / 3.0
+    y = np.concatenate([u, v]) + B @ w / s
+    S = np.multiply.outer(c * s / (s + c) * y, y) - A - G / s
+    S.flat[:: S.shape[0] + 1] += s
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
@@ -197,40 +188,45 @@ def _certified(B, M3, sigma, u, v, w) -> bool:
     return True
 
 
-def _newton_finish(tm, point, tol, budget, mono_slack):
-    """Newton steps from point, a power-sweep state
-    (sigma, u, v, w, M3, M1, residual), then the certificate.
+def _newton_finish(tm, point, tol, passes, mono_slack):
+    """Shifted Newton steps from point, a power-sweep state
+    (sigma, u, v, w, M3, M1, residual), within a budget of tensor passes.
 
-    A step is kept only if the max-norm residual falls and sigma does not
-    decrease. Once the residual is at most tol the point must pass
-    _certified. Returns (point or None, steps taken); None when a step or
-    the certificate failed, or the budget ran out. A step whose solve fails
-    (an exactly singular system or a zero block) makes one pass, not three.
+    A step at s = sigma + mu needs _certified to admit s; a refused shift
+    or a rejected step sets mu to max(4 mu, 1e-3 sigma). A step is kept if
+    sigma does not decrease (within mono_slack) and the max-norm residual
+    at most doubles; mu then falls to mu / 4, or to 0 below 1e-6 sigma. A
+    kept point with residual at most tol is returned once certified (s =
+    sigma). A step makes two passes and a kept point, as the start, one
+    more. Returns (point, steps taken); point is None if the passes run out.
     """
     sigma, u, v, w, M3, M1, residual = point
-    for step in range(1, budget + 1):
-        try:
-            x = _newton_step(_w_rows(tm, v, M1), M3, M1, sigma, u, v, w)
-            u1, v1, w1 = (_normalize(f, "Newton step")[0] for f in x)
-        except (np.linalg.LinAlgError, DegeneratePointError):
-            return None, step
-        M3n, M1n = contract_one(tm, 3, w1), contract_one(tm, 1, u1)
-        sigma1 = float(v1 @ (M1n @ w1))
-        residual1 = _residual_max(M3n, M1n, sigma1, u1, v1, w1)
-        if not (residual1 < residual
-                and sigma1 >= sigma - mono_slack * max(1.0, sigma)):
-            return None, step
-        sigma, u, v, w, M3, M1, residual = sigma1, u1, v1, w1, M3n, M1n, residual1
+    blocks, used, steps, mu = _phi_blocks(tm, v, M3, M1), 1, 0, 0.0
+    while used + 3 <= passes:  # a step, and Phi if it is kept
         if residual <= tol:
-            if _certified(_w_rows(tm, v, M1), M3, sigma, u, v, w):
-                return (sigma, u, v, w, M3, M1, residual), step
-            return None, step
-    return None, budget
+            if _certified(blocks, sigma, sigma, u, v, w):
+                return (sigma, u, v, w, M3, M1, residual), steps
+            mu = mu or 1e-3 * sigma  # the certificate refused mu = 0
+        if _certified(blocks, sigma, sigma + mu, u, v, w):
+            x = _newton_step(blocks, M1, sigma, sigma + mu, u, v, w)
+            u1, v1, w1 = (_normalize(f, "Newton step")[0] for f in x)
+            M3n, M1n = contract_one(tm, 3, w1), contract_one(tm, 1, u1)
+            sigma1 = float(v1 @ (M1n @ w1))
+            residual1 = _residual_max(M3n, M1n, sigma1, u1, v1, w1)
+            steps, used = steps + 1, used + 2
+            if (sigma1 >= sigma - mono_slack * max(1.0, sigma)
+                    and residual1 <= 2.0 * residual):
+                sigma, u, v, w, M3, M1, residual = sigma1, u1, v1, w1, M3n, M1n, residual1
+                blocks, used = _phi_blocks(tm, v, M3, M1), used + 1
+                mu = mu / 4.0 if mu >= 4e-6 * sigma else 0.0
+                continue
+        mu = max(4.0 * mu, 1e-3 * sigma)  # a refused shift or a rejected step
+    return None, steps
 
 
 def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     """Run the cyclic power iteration on an (already masked) tensor, with a
-    Newton finish where the sweeps would crawl.
+    shifted Newton finish where the sweeps would crawl.
 
     Starts from cfg.factors when they are given (normalized; random starts
     are drawn by the caller) and otherwise from the planted cfg.reference.
@@ -239,16 +235,17 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     Each sweep streams the tensor twice: tm(u, :, :), and tm(:, :, w) at the
     new w, which the residual check and the next sweep share; k sweeps make
     2k + 1 passes. At a residual check above cfg.tol, after an earlier
-    check gave the residual's contraction rate, the solve tries Newton once
-    if the sweeps still needed cost more than the steps (_newton_budget).
-    s Newton steps add 3s passes, and 1 more when the certificate is tried.
-    A certified Newton point is returned; otherwise the sweeps go on from
-    the point where Newton began, exactly as if it had not been tried.
-    iterations counts the power sweeps and newton_steps the steps taken.
+    check gave the residual's contraction rate, the solve hands over to the
+    Newton finish if the sweeps still needed cost more than the steps
+    (_newton_pays). The finish steps until it returns a certified point or
+    has made the passes of the sweeps left before cfg.max_iter, two per
+    sweep; s steps, k of them kept, make 2s + k + 1 passes. iterations
+    counts the power sweeps and newton_steps the shifted steps, kept or not.
 
     Raises ConvergenceError if the residual is still above cfg.tol after
-    cfg.max_iter sweeps and DegeneratePointError when a start factor or a
-    contraction vanishes.
+    cfg.max_iter sweeps' worth of passes (the residual is where the finish
+    began, if it ran) and DegeneratePointError when a start factor, a
+    contraction or a Newton step's block vanishes.
     """
     u, v, w = _initial_factors(tm, cfg)
 
@@ -259,7 +256,6 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     sigma_prev = -np.inf
     residual = np.inf
     last_check = None  # (sweep, residual) of the last check above tol
-    tried = False  # Newton is tried at most once per solve
     newton_steps = 0
     M3 = contract_one(tm, 3, w)
     for it in range(1, cfg.max_iter + 1):
@@ -278,17 +274,17 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
         if near_fixed or it == cfg.max_iter or it % 200 == 0:
             residual = _residual_max(M3, M1, sigma, u, v, w)
             point = (sigma, u, v, w, M3, M1, residual)
-            if residual > cfg.tol and not tried:
+            if residual > cfg.tol:
                 if last_check is not None:
                     done, last = last_check
                     rate = (residual / last) ** (1.0 / (it - done))
-                    budget = _newton_budget(tm.shape, sigma, residual, rate,
-                                            cfg.tol, cfg.max_iter - it)
-                    if budget:
-                        tried = True
-                        newton, newton_steps = _newton_finish(
-                            tm, point, cfg.tol, budget, mono_slack)
-                        point = newton or point
+                    left = cfg.max_iter - it
+                    if _newton_pays(tm.shape, sigma, residual, rate, cfg.tol, left):
+                        point, steps = _newton_finish(
+                            tm, point, cfg.tol, 2 * left, mono_slack)
+                        newton_steps += steps
+                        if point is None:
+                            break  # the finish made the passes left
                 last_check = (it, residual)
             sigma, u, v, w, _, _, residual = point
             if residual <= cfg.tol:

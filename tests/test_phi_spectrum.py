@@ -404,6 +404,30 @@ class TestResolvent:
             (phi.matrix - sigma * np.eye(sh.N)) @ q, rhs, atol=1e-10
         )
 
+    @pytest.mark.parametrize("dims", [(5, 6, 7), (9, 3, 4), (3, 12, 4), (4, 4, 4), (2, 3, 30)])
+    def test_elimination_matches_full_solve(self, rng, dims):
+        # Every block in turn is the largest (the one eliminated), including
+        # a tie and one larger than the other two together; the right-hand
+        # side may hold several columns.
+        sh = Shape3(*dims)
+        tm = Tensor3(rng.standard_normal(dims))
+        phi = build_phi(tm, *(rng.standard_normal(n) for n in dims))
+        top = float(np.max(np.abs(phi.eigenvalues)))
+        for sigma in (0.37 * top, -0.61 * top, 1.2 * top):
+            for rhs in (rng.standard_normal(sh.N), rng.standard_normal((sh.N, 3))):
+                q = resolvent_solve(phi, sigma, rhs)
+                want = np.linalg.solve(phi.matrix - sigma * np.eye(sh.N), rhs)
+                assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_rejects_sigma_near_zero(self, rng):
+        # The elimination divides by sigma; N - n_L > n_L here, so Phi need
+        # not have 0 as an eigenvalue, and sigma = 0 is refused anyway.
+        sh = Shape3(4, 4, 4)
+        tm = Tensor3(rng.standard_normal(sh.dims))
+        phi = build_phi(tm, *(rng.standard_normal(4) for _ in range(3)))
+        with pytest.raises(SingularResolventError):
+            resolvent_solve(phi, 0.0, np.ones(sh.N))
+
     def test_rejects_near_eigenvalue(self, rng):
         sh = Shape3(3, 3, 3)
         tm = Tensor3(rng.standard_normal(sh.dims))

@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -233,12 +234,12 @@ def _factor_gap(a, b):
 
 class TestPolishReusesContractions:
     """One sweep streams the tensor twice; the residual check adds no pass.
-    A Newton step streams it three times and its certificate once more."""
+    A shifted Newton step streams it twice, and Phi at each point the
+    Newton finish keeps, its start included, once more."""
 
     def _cases(self):
         """(name, tensor, config, sweeps, Newton outcome): "finished" when
-        Newton returns the point, "rejected" when its step fails and the
-        sweeps go on, None when it is not tried."""
+        the Newton finish returns the point, None when it is not tried."""
         sh = Shape3(15, 20, 25)
         fast, _, _, sig = _masked_instance(sh, 4.0, 0.8, 0)
         starts = [_random_start(sh.dims, r) for r in range(4)]
@@ -253,15 +254,15 @@ class TestPolishReusesContractions:
             ("scanned", fast, SolverConfig(tol=1e-4, factors=scanned), 2, None),
             ("slow", slow, SolverConfig(tol=1e-6, factors=slow_start), None,
              "finished"),
-            ("rejected", weak, SolverConfig(tol=1e-6, factors=weak_start), None,
-             "rejected"),
+            ("crawl", weak, SolverConfig(tol=1e-6, factors=weak_start), None,
+             "finished"),
         ]
 
     def test_bit_identical_to_old_loop(self):
-        # A solve whose Newton finish is not tried or fails returns the old
-        # loop's point bit for bit. A Newton finish returns, in fewer sweeps,
-        # a point no farther from the old loop's tol-1e-14 point than the
-        # old loop's own point at the same tol.
+        # A solve whose Newton finish is not tried returns the old loop's
+        # point bit for bit. A Newton finish returns, in fewer sweeps, a
+        # point no farther from the old loop's tol-1e-14 point than the old
+        # loop's own point at the same tol.
         for name, tm, cfg, sweeps, newton in self._cases():
             cp = solve_critical_point(tm, cfg)
             old = _old_polish(tm, cfg)
@@ -287,6 +288,26 @@ class TestPolishReusesContractions:
                 # The old loop goes past the it % 200 check, which did not return.
                 assert iterations > 200
 
+    def test_crawl_ends_in_half_the_passes(self, monkeypatch):
+        # The seed-21 instance crawls: the old loop needs 174 sweeps at tol
+        # 1e-6, and a single Newton try there is rejected. The shifted
+        # finish keeps stepping and returns a certified local maximum in
+        # under half the passes of those sweeps alone.
+        (_, tm, cfg, _, _), = (c for c in self._cases() if c[0] == "crawl")
+        old_sweeps = _old_polish(tm, cfg)[5]
+        assert old_sweeps == 174
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return contract_one(*args, **kwargs)
+
+        monkeypatch.setattr(rank_one, "contract_one", counted)
+        cp = solve_critical_point(tm, cfg)
+        assert cp.newton_steps > 0
+        assert len(calls) < (2 * old_sweeps + 1) / 2
+        assert first_order_residual(tm, cp) <= cfg.tol
+        assert _tangent_top(tm, cp) < cp.sigma
     @pytest.mark.parametrize("max_iter", [1, 250])
     def test_convergence_error_residual_unchanged(self, max_iter):
         # tol 1e-18 is below the residual's rounding floor: the power sweeps
@@ -301,6 +322,27 @@ class TestPolishReusesContractions:
             _old_polish(tm, cfg)
         assert new.value.residual == old.value.residual
 
+    def test_finish_passes_count_against_max_iter(self, monkeypatch):
+        # The crawl's finish starts at sweep 28 and needs 31 steps. With
+        # max_iter 40 it has the passes of 12 sweeps, runs out, and the
+        # solve raises with the residual where the finish began, having
+        # streamed the tensor no more often than 40 sweeps do.
+        (_, tm, cfg, _, _), = (c for c in self._cases() if c[0] == "crawl")
+        assert solve_critical_point(tm, cfg).iterations == 28
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return contract_one(*args, **kwargs)
+
+        monkeypatch.setattr(rank_one, "contract_one", counted)
+        with pytest.raises(ConvergenceError) as new:
+            solve_critical_point(tm, replace(cfg, max_iter=40))
+        assert 2 * 28 + 1 < len(calls) <= 2 * 40 + 1
+        with pytest.raises(ConvergenceError) as old:
+            _old_polish(tm, replace(cfg, max_iter=28))
+        assert new.value.residual == old.value.residual
+
     def test_tensor_passes(self, monkeypatch):
         calls = []
 
@@ -309,13 +351,17 @@ class TestPolishReusesContractions:
             return contract_one(*args, **kwargs)
 
         monkeypatch.setattr(rank_one, "contract_one", counted)
-        extra = {None: 0, "rejected": 0, "finished": 1}  # the certificate's pass
         for name, tm, cfg, _, newton in self._cases():
             calls.clear()
             cp = solve_critical_point(tm, cfg)
-            sweeps = 2 * cp.iterations + 1
-            assert len(calls) == sweeps + 3 * cp.newton_steps + extra[newton], name
-            assert calls.count(2) == cp.newton_steps + extra[newton], name
+            # The sweeps' modes 3, then 1 and 3 per sweep. A Newton finish
+            # then takes Phi's pass (mode 2) at its start and modes 3 and 1
+            # per step, and mode 2 again after each kept step; the last step
+            # is kept, and Phi at its point serves the certificate.
+            pattern = "3" + "13" * cp.iterations
+            if newton is not None:
+                pattern += "2(312?){%d}312" % (cp.newton_steps - 1)
+            assert re.fullmatch(pattern, "".join(map(str, calls))), name
             calls.clear()
             first_order_residual(tm, cp)
             assert sorted(calls) == [1, 3], name
@@ -354,23 +400,25 @@ def _sweeps(tm, sig, count):
 class TestNewtonFinish:
     def test_step_matches_dense_solve(self):
         # The step eliminates the w block; it equals x + delta for the dense
-        # solve of (Phi - sigma I) delta = -r.
+        # solve of (Phi - s I) delta = -r, unshifted (s = sigma) and shifted.
         tm, _, _, sig = _masked_instance(Shape3(7, 9, 11), 2.0, 0.6, 3)
         sigma, u, v, w, M3, M1, _ = _sweeps(tm, sig, 3)
         x = np.concatenate([u, v, w])
         phi = build_phi(tm, u, v, w).matrix
         # Phi x / 2 = [tm(:, v, w); tm(u, :, w); tm(u, v, :)].
         r = phi @ x / 2.0 - sigma * x
-        want = x + np.linalg.solve(phi - sigma * np.eye(x.size), -r)
-        B = rank_one._w_rows(tm, v, M1)
-        got = np.concatenate(rank_one._newton_step(B, M3, M1, sigma, u, v, w))
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        blocks = rank_one._phi_blocks(tm, v, M3, M1)
+        for s in (sigma, 1.001 * sigma, 1.3 * sigma):
+            want = x + np.linalg.solve(phi - s * np.eye(x.size), -r)
+            got = np.concatenate(rank_one._newton_step(blocks, M1, sigma, s, u, v, w))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_matches_dense(self, seed):
         # The Schur complement on the w block is positive definite exactly
-        # when sigma I - Phi + 2 sigma s s^T is, s = [u; v; w] / sqrt(3):
-        # at converged points and at sigma moved by +-10%.
+        # when s I - Phi + 2 sigma z z^T is, z = [u; v; w] / sqrt(3): at
+        # converged points and at sigma moved by +-10%, unshifted (s = sigma)
+        # and shifted by +-10% of sigma.
         gen = np.random.default_rng(seed)
         dims = tuple(int(n) for n in gen.integers(3, 15, size=3))
         tm, _, _, _ = _masked_instance(Shape3(*dims), 1.0 + seed, 0.5, seed)
@@ -378,40 +426,60 @@ class TestNewtonFinish:
             tm, SolverConfig(max_iter=100_000, factors=_random_start(dims, seed))
         )
         phi = build_phi(tm, cp.u, cp.v, cp.w).matrix
-        s = np.concatenate([cp.u, cp.v, cp.w]) / np.sqrt(3.0)
-        B = rank_one._w_rows(tm, cp.v, contract_one(tm, 1, cp.u))
-        M3 = contract_one(tm, 3, cp.w)
+        z = np.concatenate([cp.u, cp.v, cp.w]) / np.sqrt(3.0)
+        M3, M1 = contract_one(tm, 3, cp.w), contract_one(tm, 1, cp.u)
+        blocks = rank_one._phi_blocks(tm, cp.v, M3, M1)
         for sigma in (cp.sigma, 0.9 * cp.sigma, 1.1 * cp.sigma):
-            C = sigma * np.eye(s.size) - phi + 2.0 * sigma * np.outer(s, s)
-            lowest = float(np.min(np.linalg.eigvalsh(C)))
-            assert abs(lowest) > 1e-9 * sigma  # the sign is not a rounding
-            certified = rank_one._certified(B, M3, sigma, cp.u, cp.v, cp.w)
-            assert certified == (lowest > 0.0)
+            for s in (sigma, 0.9 * sigma, 1.1 * sigma):
+                C = s * np.eye(z.size) - phi + 2.0 * sigma * np.outer(z, z)
+                lowest = float(np.min(np.linalg.eigvalsh(C)))
+                assert abs(lowest) > 1e-9 * sigma  # the sign is not a rounding
+                certified = rank_one._certified(blocks, sigma, s, cp.u, cp.v, cp.w)
+                assert certified == (lowest > 0.0)
 
     def test_certificate_refuses_a_saddle(self, monkeypatch):
         # From the planted start at 13x20x15, eps 0.2, beta 3, seed 20, three
-        # power sweeps and then Newton steps converge to a saddle: sigma
-        # 0.78480, with Phi above sigma on the tangent space. The certificate
-        # refuses it. The solve itself reaches the local maximum, sigma
-        # 0.80848: its sweeps reach that maximum's basin before a Newton try.
+        # power sweeps and then unshifted Newton steps converge to a saddle:
+        # sigma 0.78480, with Phi above sigma on the tangent space. A Newton
+        # finish started there sees the certificate refuse it and does not
+        # return it. From the three sweeps' point the finish refuses the
+        # shift 0 and climbs to the local maximum, sigma 0.80848, as does
+        # the solve itself.
         tm, _, _, sig = _masked_instance(Shape3(13, 20, 15), 3.0, 0.2, 20)
+        start = _sweeps(tm, sig, 3)
+        sigma, u, v, w, M3, M1, _ = start
+        for _ in range(8):
+            blocks = rank_one._phi_blocks(tm, v, M3, M1)
+            x = rank_one._newton_step(blocks, M1, sigma, sigma, u, v, w)
+            u, v, w = (f / np.linalg.norm(f) for f in x)
+            M3, M1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
+            sigma = float(v @ (M1 @ w))
+        saddle = CriticalPoint(sigma, u, v, w)
+        residual = first_order_residual(tm, saddle)
+        assert residual <= 1e-12
+        assert abs(saddle.sigma - 0.78480) < 1e-5
+        assert _tangent_top(tm, saddle) > 1.01 * saddle.sigma
+
         seen = []
         certified = rank_one._certified
 
-        def recorded(B, M3, sigma, u, v, w):
-            ok = certified(B, M3, sigma, u, v, w)
-            seen.append((CriticalPoint(sigma, u, v, w), ok))
+        def recorded(blocks, sigma, s, u, v, w):
+            ok = certified(blocks, sigma, s, u, v, w)
+            seen.append((CriticalPoint(sigma, u, v, w), s == sigma, ok))
             return ok
 
         monkeypatch.setattr(rank_one, "_certified", recorded)
-        start = _sweeps(tm, sig, 3)
-        point, steps = rank_one._newton_finish(tm, start, 1e-12, 30, 1e-13)
-        assert point is None and steps <= 30
-        (saddle, ok), = seen
-        assert not ok
-        assert abs(saddle.sigma - 0.78480) < 1e-5
-        assert first_order_residual(tm, saddle) <= 1e-12
-        assert _tangent_top(tm, saddle) > 1.01 * saddle.sigma
+        point, steps = rank_one._newton_finish(
+            tm, (sigma, u, v, w, M3, M1, residual), 1e-12, 30, 1e-13)
+        assert point is None and 0 < steps <= 14  # 1 + 2 per step <= 30
+        refused, unshifted, ok = seen[0]
+        assert refused.sigma == saddle.sigma and unshifted and not ok
+        assert not any(ok for _, unshifted, ok in seen if unshifted)
+
+        seen.clear()
+        point, _ = rank_one._newton_finish(tm, start, 1e-12, 200, 1e-13)
+        assert seen[0][1:] == (True, False)  # shift 0 refused at the start
+        assert abs(point[0] - 0.80848) < 1e-5
         cp = solve_critical_point(tm, SolverConfig(reference=sig))
         assert abs(cp.sigma - 0.80848) < 1e-5
 
