@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if not self.eta > 0:
+            raise ValueError("eta must be positive")
 
     def resolve_shape(self) -> Shape3:
         if self.shape is not None:
@@ -272,7 +274,7 @@ def run_esd(cfg: ExperimentConfig) -> dict:
     x_lo = float(hist.bin_edges[0])
     x_hi = float(min(hist.bin_edges[-1], 1.5 * cp.sigma))
     curve = rmt_theory.limiting_density(
-        params, x_lo, x_hi, cfg.grid_points, eta=max(cfg.eta, 1e-6)
+        params, x_lo, x_hi, cfg.grid_points, eta=cfg.eta
     )
     _write_csv(
         out / "density.csv",

@@ -7,19 +7,19 @@ orders can reach different (sign-equivalent) critical points from the same
 start. One sweep streams the tensor twice, for tm(:, :, w) and tm(u, :, :);
 the residual check reuses those two contractions instead of making its own.
 
-The sweeps converge linearly, at about lambda_bulk / sigma per sweep. Where
-that leaves more sweeps to go than Newton steps cost, the solve finishes by
-shifted Newton steps: Phi(u, v, w) is the Jacobian of the first-order map,
-so a step solves (Phi - (sigma + mu) I) delta = -r and renormalizes each
-block. The shift mu keeps Phi - (sigma + mu) I negative definite on the
-tangent space of the three spheres, so steps climb from far out (Absil,
-Baker & Gallivan 2007; More & Sorensen 1983). A point is returned only once
-certified a local maximum: Phi < sigma on that tangent space (Lim 2005).
+The sweeps converge linearly, at about lambda_bulk / sigma per sweep, which
+crawls below the recovery threshold. A solve whose first residual check is
+above tol finishes by shifted Newton steps: Phi(u, v, w) is the Jacobian of
+the first-order map, so a step solves (Phi - (sigma + mu) I) delta = -r and
+renormalizes each block. The shift mu keeps Phi - (sigma + mu) I negative
+definite on the tangent space of the three spheres, so steps climb from far
+out (Absil, Baker & Gallivan 2007; More & Sorensen 1983). A point is
+returned only once certified a local maximum: Phi < sigma on that tangent
+space (Lim 2005).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,37 +104,6 @@ def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     )
 
 
-# Dense flops that take as long as streaming one tensor entry once: the
-# exchange rate between a power sweep (two passes over the tensor) and a
-# Newton step (dense algebra of size n1 + n2). Measured as B B^T plus the LU
-# solve against one pass, with one OpenBLAS thread on a 2-core x86-64 host:
-# 8 at 50x100x350, 10 at 200x200x200, 19 at 100x200x700.
-PASS_FLOPS = 10.0
-
-
-def _newton_pays(shape, sigma, residual, rate, tol, sweeps_left) -> bool:
-    """Whether to start the Newton finish at this check.
-
-    The sweeps still needed are extrapolated from rate, the residual's
-    contraction per sweep, and capped by the sweeps left before max_iter.
-    Newton pays when they cost more than the steps that quadratic
-    convergence from residual to tol needs, plus the certificate.
-    """
-    if not 0.0 < residual < sigma:
-        return False  # no scale for quadratic convergence yet
-    if rate < 1.0:
-        sweeps_left = min(sweeps_left, math.log(tol / residual) / math.log(rate))
-    m, n3 = shape.n1 + shape.n2, shape.n3
-    dense = m * m * n3  # B B^T, for the Schur complement on the w block
-    pass_ = PASS_FLOPS * shape.n1 * shape.n2 * n3
-    step = 2.0 / 3.0 * m**3 + dense + 3.0 * pass_  # LU solve, 3 passes
-    certificate = m**3 / 3.0 + dense + pass_  # Cholesky, 1 pass
-    # Quadratic convergence squares residual / sigma with every step.
-    doublings = math.log(tol / sigma) / math.log(residual / sigma)
-    needed = max(1, math.ceil(math.log2(doublings)))
-    return sweeps_left * 2.0 * pass_ - certificate >= needed * step
-
-
 def _solve_zero_block(A, C, G, s, b1, b2):
     """(q1, q2) for ([[A, C], [C^T, 0]] - s I) [q1; q2] = [b1; b2], s != 0,
     G = C C^T. The zero block's rows give q2 = (C^T q1 - b2) / s, so q1
@@ -200,6 +169,8 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
     sigma). A step makes two passes and a kept point, as the start, one
     more. Returns (point, steps taken); point is None if the passes run out.
     """
+    if passes < 4:
+        return None, 0  # too few for Phi, one step and Phi at its point
     sigma, u, v, w, M3, M1, residual = point
     blocks, used, steps, mu = _phi_blocks(tm, v, M3, M1), 1, 0, 0.0
     while used + 3 <= passes:  # a step, and Phi if it is kept
@@ -226,7 +197,7 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
 
 def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     """Run the cyclic power iteration on an (already masked) tensor, with a
-    shifted Newton finish where the sweeps would crawl.
+    shifted Newton finish from its first residual check above cfg.tol.
 
     Starts from cfg.factors when they are given (normalized; random starts
     are drawn by the caller) and otherwise from the planted cfg.reference.
@@ -234,17 +205,18 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
 
     Each sweep streams the tensor twice: tm(u, :, :), and tm(:, :, w) at the
     new w, which the residual check and the next sweep share; k sweeps make
-    2k + 1 passes. At a residual check above cfg.tol, after an earlier
-    check gave the residual's contraction rate, the solve hands over to the
-    Newton finish if the sweeps still needed cost more than the steps
-    (_newton_pays). The finish steps until it returns a certified point or
-    has made the passes of the sweeps left before cfg.max_iter, two per
-    sweep; s steps, k of them kept, make 2s + k + 1 passes. iterations
-    counts the power sweeps and newton_steps the shifted steps, kept or not.
+    2k + 1 passes. The residual is checked once sigma moves by at most
+    10 cfg.tol sigma in a sweep, every 200 sweeps and at cfg.max_iter. The
+    first check ends the sweeps: at or below cfg.tol the point is returned,
+    and above it the solve hands over to the Newton finish. The finish steps
+    until it returns a certified point or has made the passes of the sweeps
+    left before cfg.max_iter, two per sweep; s steps, k of them kept, make
+    2s + k + 1 passes. iterations counts the power sweeps and newton_steps
+    the shifted steps, kept or not.
 
     Raises ConvergenceError if the residual is still above cfg.tol after
-    cfg.max_iter sweeps' worth of passes (the residual is where the finish
-    began, if it ran) and DegeneratePointError when a start factor, a
+    cfg.max_iter sweeps' worth of passes (the residual is the first check's,
+    where the finish began) and DegeneratePointError when a start factor, a
     contraction or a Newton step's block vanishes.
     """
     u, v, w = _initial_factors(tm, cfg)
@@ -254,8 +226,6 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     mono_slack = 1e-13 + 1e-15 * np.sqrt(tm.values.size)
 
     sigma_prev = -np.inf
-    residual = np.inf
-    last_check = None  # (sweep, residual) of the last check above tol
     newton_steps = 0
     M3 = contract_one(tm, 3, w)
     for it in range(1, cfg.max_iter + 1):
@@ -273,25 +243,17 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
         sigma_prev = sigma
         if near_fixed or it == cfg.max_iter or it % 200 == 0:
             residual = _residual_max(M3, M1, sigma, u, v, w)
-            point = (sigma, u, v, w, M3, M1, residual)
             if residual > cfg.tol:
-                if last_check is not None:
-                    done, last = last_check
-                    rate = (residual / last) ** (1.0 / (it - done))
-                    left = cfg.max_iter - it
-                    if _newton_pays(tm.shape, sigma, residual, rate, cfg.tol, left):
-                        point, steps = _newton_finish(
-                            tm, point, cfg.tol, 2 * left, mono_slack)
-                        newton_steps += steps
-                        if point is None:
-                            break  # the finish made the passes left
-                last_check = (it, residual)
-            sigma, u, v, w, _, _, residual = point
-            if residual <= cfg.tol:
-                if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
-                    u, v = -u, -v  # flipping a pair preserves the fixed point
-                return CriticalPoint(sigma, u, v, w, residual=residual,
-                                     iterations=it, newton_steps=newton_steps)
+                point, newton_steps = _newton_finish(
+                    tm, (sigma, u, v, w, M3, M1, residual), cfg.tol,
+                    2 * (cfg.max_iter - it), mono_slack)
+                if point is None:
+                    break  # the finish made the passes left
+                sigma, u, v, w, _, _, residual = point
+            if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
+                u, v = -u, -v  # flipping a pair preserves the fixed point
+            return CriticalPoint(sigma, u, v, w, residual=residual,
+                                 iterations=it, newton_steps=newton_steps)
 
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations (residual {residual:.3e})",

@@ -173,8 +173,8 @@ class TestRunSpikeCurve:
         # At beta = 1 every trial stops at max_iter: the row must say so
         # instead of looking like a theory-only row. At beta = 3 and 5 the
         # scan's pick converges in 2 sweeps, the fewest a solve can take; at
-        # beta = 1 it needs more, and with 2 sweeps no Newton finish can
-        # start (it needs the rate between two residual checks).
+        # beta = 1 it needs more, and the Newton finish that starts at the
+        # residual check of sweep 2 (max_iter) has no passes left.
         cfg = ExperimentConfig(
             shape=Shape3(10, 20, 70),
             epsilon=0.6,
@@ -419,8 +419,9 @@ class TestCli:
         assert abs(result["edge"] - 2.0 * math.sqrt(2.0 * 0.25 / 3.0)) < 1e-6
         assert (tmp_path / "density.csv").exists()
 
-    def test_density_rejects_nonpositive_eta(self, tmp_path, capsys):
-        base = ["density", "--shape", "10,12,14", "--out", str(tmp_path)]
+    @pytest.mark.parametrize("command", ["esd", "density"])
+    def test_rejects_nonpositive_eta(self, command, tmp_path, capsys):
+        base = [command, "--shape", "10,12,14", "--out", str(tmp_path)]
         for flag in ("--eta=0", "--eta=-1e-6"):
             assert main(base + [flag]) == 1
             assert "eta must be positive" in capsys.readouterr().err
@@ -428,7 +429,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({"eta": -0.001}))
         assert main(base + ["--config", str(cfg_path)]) == 1
         assert "eta must be positive" in capsys.readouterr().err
-        assert not (tmp_path / "density.csv").exists()
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from punctured_tensor import (
+    CriticalPoint,
     PhiMatrix,
     RngSeed,
     Shape3,
@@ -29,13 +30,26 @@ from punctured_tensor import (
 from punctured_tensor.tensor_core import DimensionMismatchError, contract_one
 
 
-def _instance(shape, beta, epsilon, seed, tol=1e-12):
+def _instance(shape, beta, epsilon, seed):
     sig = SignalTriple.random(shape, beta, RngSeed(seed, 0))
     t = generate_spiked(shape, sig, RngSeed(seed, 1))
     m = sample_mask(shape, epsilon, RngSeed(seed, 2))
     tm = hadamard(t, m)
-    cp = solve_critical_point(tm, SolverConfig(tol=tol, reference=sig))
+    cp = solve_critical_point(tm, SolverConfig(tol=1e-12, reference=sig))
     return tm, sig, cp
+
+
+def _power_sweeps(tm, sig, count):
+    """The unconverged point after `count` power sweeps from the planted start."""
+    u, v, w = sig.x, sig.y, sig.z
+    for _ in range(count):
+        M3 = contract_one(tm, 3, w)
+        u = M3 @ v / np.linalg.norm(M3 @ v)
+        v = M3.T @ u / np.linalg.norm(M3.T @ u)
+        w = contract_one(tm, 1, u).T @ v
+        sigma = float(np.linalg.norm(w))
+        w = w / sigma
+    return CriticalPoint(sigma, u, v, w)
 
 
 class TestPhiMatrix:
@@ -291,11 +305,13 @@ class TestStructuralEigenpairs:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_loose_point_keeps_its_top_eigenvalue_out(self, seed):
-        # Polished to tol 1e-3, the eigenvalue nearest 2 sigma misses 2 sigma
-        # by more than tol * max(1, 2 sigma). It still stands for 2 sigma: the
-        # bulk residual is that offset, bounded by the point's own
-        # eigenpair defect, not about sigma.
-        tm, _, cp = _instance(Shape3(15, 18, 21), 4.0, 0.5, seed, tol=1e-3)
+        # After five power sweeps (first-order residual 5.8e-4 and 2.6e-4)
+        # the eigenvalue nearest 2 sigma misses 2 sigma by more than
+        # tol * max(1, 2 sigma). It still stands for 2 sigma: the bulk
+        # residual is that offset, bounded by the point's own eigenpair
+        # defect, not about sigma.
+        tm, sig, _ = _instance(Shape3(15, 18, 21), 4.0, 0.5, seed)
+        cp = _power_sweeps(tm, sig, 5)
         phi = build_phi(tm, cp.u, cp.v, cp.w)
         offset = float(np.min(np.abs(phi.eigenvalues - 2.0 * cp.sigma)))
         assert offset > 1e-8 * max(1.0, 2.0 * cp.sigma)

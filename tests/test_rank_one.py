@@ -191,13 +191,15 @@ def _old_polish(tm, cfg):
     """Reference polish: the solver's sweeps and check gate, with every check
     rebuilding both contractions from fresh contract_one calls.
 
-    Returns (sigma, u, v, w, residual, iterations) or raises ConvergenceError.
+    Returns (sigma, u, v, w, residual, iterations, sweep of the first
+    residual check) or raises ConvergenceError.
     """
     if cfg.factors is None:
         u, v, w = cfg.reference.x, cfg.reference.y, cfg.reference.z
     else:
         u, v, w = (f / np.linalg.norm(f) for f in cfg.factors)
     sigma_prev = -np.inf
+    first = None
     for it in range(1, cfg.max_iter + 1):
         M3 = contract_one(tm, 3, w)
         u = M3 @ v / np.linalg.norm(M3 @ v)
@@ -209,6 +211,7 @@ def _old_polish(tm, cfg):
         near_fixed = abs(sigma - sigma_prev) <= 10.0 * cfg.tol * max(1.0, sigma)
         sigma_prev = sigma
         if near_fixed or it == cfg.max_iter or it % 200 == 0:
+            first = first or it
             F3, F1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
             residual = max(
                 np.max(np.abs(F3 @ v - sigma * u)),
@@ -218,7 +221,7 @@ def _old_polish(tm, cfg):
             if residual <= cfg.tol:
                 if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
                     u, v = -u, -v
-                return sigma, u, v, w, residual, it
+                return sigma, u, v, w, residual, it, first
     raise ConvergenceError("no convergence", residual=residual)
 
 
@@ -260,18 +263,18 @@ class TestPolishReusesContractions:
 
     def test_bit_identical_to_old_loop(self):
         # A solve whose Newton finish is not tried returns the old loop's
-        # point bit for bit. A Newton finish returns, in fewer sweeps, a
-        # point no farther from the old loop's tol-1e-14 point than the old
-        # loop's own point at the same tol.
+        # point bit for bit. A Newton finish starts at the old loop's first
+        # residual check and returns a point no farther from the old loop's
+        # tol-1e-14 point than the old loop's own point at the same tol.
         for name, tm, cfg, sweeps, newton in self._cases():
             cp = solve_critical_point(tm, cfg)
             old = _old_polish(tm, cfg)
-            sigma, u, v, w, residual, iterations = old
+            sigma, u, v, w, residual, iterations, first = old
             assert (cp.newton_steps > 0) == (newton is not None), name
             if newton == "finished":
                 ref = _old_polish(tm, replace(cfg, tol=1e-14, max_iter=100_000))
                 assert cp.residual <= cfg.tol, name
-                assert cp.iterations < iterations, name
+                assert cp.iterations == first < iterations, name
                 assert abs(cp.sigma - ref[0]) <= abs(sigma - ref[0]), name
                 gap = _factor_gap((cp.sigma, cp.u, cp.v, cp.w), ref)
                 assert gap <= _factor_gap(old, ref), name
@@ -311,7 +314,10 @@ class TestPolishReusesContractions:
     @pytest.mark.parametrize("max_iter", [1, 250])
     def test_convergence_error_residual_unchanged(self, max_iter):
         # tol 1e-18 is below the residual's rounding floor: the power sweeps
-        # cannot reach it and a Newton finish, tried at 250 sweeps, fails.
+        # cannot reach it and a Newton finish, tried at the first residual
+        # check, fails. Sigma never settles within 10 tol sigma, so that
+        # check is at sweep 200, or at max_iter if that comes first; the
+        # solve raises with the residual there.
         tm, _, _, _ = _masked_instance(Shape3(15, 20, 25), 2.0, 0.15, 2)
         cfg = SolverConfig(
             tol=1e-18, max_iter=max_iter, factors=_random_start((15, 20, 25), 2)
@@ -319,16 +325,16 @@ class TestPolishReusesContractions:
         with pytest.raises(ConvergenceError) as new:
             solve_critical_point(tm, cfg)
         with pytest.raises(ConvergenceError) as old:
-            _old_polish(tm, cfg)
+            _old_polish(tm, replace(cfg, max_iter=min(max_iter, 200)))
         assert new.value.residual == old.value.residual
 
     def test_finish_passes_count_against_max_iter(self, monkeypatch):
-        # The crawl's finish starts at sweep 28 and needs 31 steps. With
-        # max_iter 40 it has the passes of 12 sweeps, runs out, and the
+        # The crawl's finish starts at sweep 27 and needs 33 steps. With
+        # max_iter 40 it has the passes of 13 sweeps, runs out, and the
         # solve raises with the residual where the finish began, having
         # streamed the tensor no more often than 40 sweeps do.
         (_, tm, cfg, _, _), = (c for c in self._cases() if c[0] == "crawl")
-        assert solve_critical_point(tm, cfg).iterations == 28
+        assert solve_critical_point(tm, cfg).iterations == 27
         calls = []
 
         def counted(*args, **kwargs):
@@ -338,10 +344,16 @@ class TestPolishReusesContractions:
         monkeypatch.setattr(rank_one, "contract_one", counted)
         with pytest.raises(ConvergenceError) as new:
             solve_critical_point(tm, replace(cfg, max_iter=40))
-        assert 2 * 28 + 1 < len(calls) <= 2 * 40 + 1
+        assert 2 * 27 + 1 < len(calls) <= 2 * 40 + 1
         with pytest.raises(ConvergenceError) as old:
-            _old_polish(tm, replace(cfg, max_iter=28))
+            _old_polish(tm, replace(cfg, max_iter=27))
         assert new.value.residual == old.value.residual
+        # With max_iter 27 the first check comes at max_iter, where the
+        # finish has no passes left and makes none.
+        calls.clear()
+        with pytest.raises(ConvergenceError):
+            solve_critical_point(tm, replace(cfg, max_iter=27))
+        assert len(calls) == 2 * 27 + 1
 
     def test_tensor_passes(self, monkeypatch):
         calls = []
