@@ -40,7 +40,6 @@ from .phi_spectrum import (
     esd_histogram,
     predict_factor_derivative,
     resolvent_solve,
-    spike_core,
     spike_decomposition_residual,
 )
 from .rmt_theory import (

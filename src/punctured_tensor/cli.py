@@ -134,7 +134,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+        # TypeError: a config value of the wrong type, such as "trials": "3".
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

@@ -85,6 +85,9 @@ class ExperimentConfig:
             raise ValueError("restarts must be at least 1")
         if not self.eta > 0:
             raise ValueError("eta must be positive")
+        for name in ("beta_grid", "epsilon_grid"):
+            if getattr(self, name) is not None and len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} needs at least one value")
 
     def resolve_shape(self) -> Shape3:
         if self.shape is not None:

@@ -1,10 +1,10 @@
 """The associated symmetric block matrix Phi(u, v, w) and its spectral checks.
 
-Phi has zero diagonal blocks and off-diagonal blocks given by the three
-one-mode contractions of the masked tensor on the critical-point factors.
-Its spectrum carries the structural eigenpairs (2 sigma, -sigma, -sigma) and
-the resolvent (Phi - sigma I)^-1 predicts how the factors react to a
-perturbation of a single noise entry.
+Phi has zero diagonal blocks, so it is held as its three off-diagonal
+blocks: the one-mode contractions of the masked tensor on the critical-point
+factors. Its spectrum carries the structural eigenpairs (2 sigma, -sigma,
+-sigma) and the resolvent (Phi - sigma I)^-1 predicts how the factors react
+to a perturbation of a single noise entry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .rank_one import CriticalPoint, _solve_zero_block
 from .tensor_core import (
     DimensionMismatchError,
     RngSeed,
@@ -39,43 +38,100 @@ GAP_TOL = 1e-8
 
 @dataclass(frozen=True)
 class PhiMatrix:
-    shape: Shape3
-    matrix: np.ndarray  # (N, N), symmetric, zero diagonal blocks; read-only
+    """Phi = [[0, b12, b13], [b12^T, 0, b23], [b13^T, b23^T, 0]], held as its
+    read-only off-diagonal blocks; its shape (n1, n2, n3) is theirs.
+
+    A writable block stays the caller's, so it is copied; a read-only one
+    (what the builders pass) is kept as given.
+    """
+
+    b12: np.ndarray  # (n1, n2)
+    b13: np.ndarray  # (n1, n3)
+    b23: np.ndarray  # (n2, n3)
 
     def __post_init__(self):
-        # A writable input stays the caller's, so it is copied; a read-only
-        # one (what the builders pass) is kept without a second N x N array.
-        arr = np.asarray(self.matrix, dtype=np.float64, order="C")
-        if arr.flags.writeable:
-            arr = arr.copy()
-        N = self.shape.N
-        if arr.shape != (N, N):
+        for name in ("b12", "b13", "b23"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.flags.writeable:
+                arr = arr.copy()
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        d = self.b12.shape[:1] + self.b23.shape
+        got = [b.shape for b in (self.b12, self.b13, self.b23)]
+        if len(d) != 3 or got != [d[:2], d[::2], d[1:]]:
             raise DimensionMismatchError(
-                f"Phi has shape {arr.shape}, expected ({N}, {N})"
-            )
-        # The eigenvalue reduction relies on these blocks being exactly zero.
-        if any(np.any(arr[s, s]) for s in self.block_slices):
-            raise ValueError("Phi must have zero diagonal blocks")
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
+                f"blocks {got} are not (n1, n2), (n1, n3), (n2, n3)")
+
+    @cached_property
+    def shape(self) -> Shape3:
+        return Shape3(*self.b12.shape, self.b23.shape[1])
+
+    def block(self, a: int, b: int) -> np.ndarray:
+        """The (a, b) block for modes a != b in 1..3."""
+        return getattr(self, f"b{a}{b}") if a < b else getattr(self, f"b{b}{a}").T
+
+    def split(self, last: int):
+        """(A, C) with Phi = [[A, C], [C^T, 0]] once mode `last` is moved
+        last: A couples the other two modes a < b, C is their block against
+        `last`. C is C-ordered even when it stacks two transposes, so its
+        BLAS products round alike whichever mode is last."""
+        a, b = (m for m in (1, 2, 3) if m != last)
+        na = self.shape.dim(a)
+        A = np.zeros((na + self.shape.dim(b),) * 2)
+        A[:na, na:], A[na:, :na] = self.block(a, b), self.block(b, a)
+        return A, np.ascontiguousarray(np.vstack([self.block(a, last), self.block(b, last)]))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Phi @ x for x of length N."""
+        n1, n2, n3 = self.shape.dims
+        if x.shape[:1] != (n1 + n2 + n3,):
+            raise DimensionMismatchError(
+                f"x has shape {x.shape}, expected ({n1 + n2 + n3},)")
+        x1, x2, x3 = x[:n1], x[n1 : n1 + n2], x[n1 + n2 :]
+        return np.concatenate([
+            self.b12 @ x2 + self.b13 @ x3,
+            self.b12.T @ x1 + self.b23 @ x3,
+            self.b13.T @ x1 + self.b23.T @ x2,
+        ])
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending and read-only: the one eigensolve that
         the spectrum, the structural checks and the resolvent share.
 
-        The dense eigensolve runs on a reduced core of size
-        min(2 (N - n_L), N), n_L the largest of n1, n2, n3; the rest of the
-        spectrum is exactly zero (see _block_eigvalsh).
+        With L the largest mode and m = N - n_L, split(L) gives
+        Phi = [[A, C], [C^T, 0]] up to a permutation. With C^T = Q r (r is
+        k x m, k = min(n_L, m)), the orthogonal change of basis
+        diag(I, [Q, Q_perp]) takes Phi to the core [[A, r^T], [r, 0]] padded
+        with n_L - k zero rows and columns. So the dense eigensolve runs on
+        a core of size m + k, and the other n_L - k eigenvalues are exact
+        zeros.
         """
-        vals = _block_eigvalsh(self.shape, self.matrix)
+        A, C = self.split(int(np.argmax(self.shape.dims)) + 1)
+        r = np.linalg.qr(C.T, mode="r")
+        k = r.shape[0]
+        core = np.block([[A, r.T], [r, np.zeros((k, k))]])
+        vals = np.linalg.eigvalsh(core)
+        vals = np.sort(np.concatenate([vals, np.zeros(self.shape.N - A.shape[0] - k)]))
         vals.flags.writeable = False
         return vals
 
-    @property
-    def block_slices(self):
-        n1, n2, n3 = self.shape.dims
-        return (slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, n1 + n2 + n3))
+
+def _solve_zero_block(A, C, G, s, b1, b2):
+    """(q1, q2) for ([[A, C], [C^T, 0]] - s I) [q1; q2] = [b1; b2], s != 0,
+    G = C C^T. The zero block's rows give q2 = (C^T q1 - b2) / s, so q1
+    solves (A - s I + G / s) q1 = b1 + C b2 / s, of the first block's size."""
+    K = A + G / s
+    K.flat[:: K.shape[0] + 1] -= s
+    q1 = np.linalg.solve(K, b1 + C @ b2 / s)
+    return q1, (C.T @ q1 - b2) / s
+
+
+def _frozen_phi(b12, b13, b23) -> PhiMatrix:
+    """PhiMatrix of fresh blocks the caller hands over, without a copy."""
+    for b in (b12, b13, b23):
+        b.flags.writeable = False
+    return PhiMatrix(b12, b13, b23)
 
 
 @dataclass(frozen=True)
@@ -113,54 +169,11 @@ class StructuralReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _block_eigvalsh(shape: Shape3, M: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of a symmetric M with zero diagonal blocks.
-
-    Let L be the largest block and "rest" the other two, m = N - n_L. Up to
-    a permutation M = [[A, C], [C^T, 0]] with A = M[rest, rest] and
-    C = M[rest, L]. With C^T = Q r (r is min(n_L, m) x m), the orthogonal
-    change of basis diag(I, [Q, Q_perp]) takes M to [[A, r^T], [r, 0]]
-    padded with n_L - min(n_L, m) zero rows and columns. So the spectrum is
-    that core's plus max(0, n_L - m) exact zeros.
-    """
-    rest, big = _largest_block(shape)
-    m = rest.size
-    r = np.linalg.qr(M[big, rest], mode="r")  # M[L, rest] = C^T
-    k = r.shape[0]
-    core = np.block([[M[np.ix_(rest, rest)], r.T], [r, np.zeros((k, k))]])
-    vals = np.linalg.eigvalsh(core)
-    return np.sort(np.concatenate([vals, np.zeros(shape.N - m - k)]))
-
-
-def _largest_block(shape: Shape3):
-    """Indices outside Phi's largest diagonal block, and that block's slice."""
-    b = int(np.argmax(shape.dims))
-    lo, hi = sum(shape.dims[:b]), sum(shape.dims[: b + 1])
-    return np.r_[0:lo, hi : shape.N], slice(lo, hi)
-
-
-def _assemble(shape: Shape3, b12, b13, b23) -> PhiMatrix:
-    n1, n2, n3 = shape.dims
-    N = shape.N
-    phi = np.zeros((N, N))
-    s1, s2, s3 = slice(0, n1), slice(n1, n1 + n2), slice(n1 + n2, N)
-    phi[s1, s2] = b12
-    phi[s1, s3] = b13
-    phi[s2, s3] = b23
-    phi[s2, s1] = b12.T
-    phi[s3, s1] = b13.T
-    phi[s3, s2] = b23.T
-    phi.flags.writeable = False
-    return PhiMatrix(shape, phi)
-
-
 def build_phi(tm: Tensor3, u, v, w) -> PhiMatrix:
     """Assemble Phi from the already-masked tensor and the three factors."""
     u, v, w = check_factors(tm.shape, (u, v, w))
-    b12 = contract_one(tm, 3, w)
-    b13 = contract_one(tm, 2, v)
-    b23 = contract_one(tm, 1, u)
-    return _assemble(tm.shape, b12, b13, b23)
+    return _frozen_phi(
+        contract_one(tm, 3, w), contract_one(tm, 2, v), contract_one(tm, 1, u))
 
 
 def build_phi0_streamed(
@@ -192,7 +205,7 @@ def build_phi0_streamed(
         b12 += w[k] * slab
         b13[:, k] = slab @ v
         b23[:, k] = slab.T @ u
-    return _assemble(shape, b12, b13, b23)
+    return _frozen_phi(b12, b13, b23)
 
 
 def eigen_spectrum(phi: PhiMatrix) -> SpectrumResult:
@@ -209,7 +222,7 @@ def eigen_spectrum(phi: PhiMatrix) -> SpectrumResult:
 
 
 def check_structural_eigenpairs(
-    phi: PhiMatrix, cp: CriticalPoint, tol: float = 1e-8
+    phi: PhiMatrix, cp, tol: float = 1e-8
 ) -> StructuralReport:
     """Verify the three structural facts about the spectrum of Phi.
 
@@ -218,19 +231,18 @@ def check_structural_eigenpairs(
     (3) the eigenvalue nearest 2 sigma is 2 sigma and every other one lies
         in [-sigma, sigma], up to tol.
     """
-    M = phi.matrix
     sigma = cp.sigma
     u, v, w = cp.u, cp.v, cp.w
     z2, z3 = np.zeros_like(v), np.zeros_like(w)
 
     s = np.concatenate([u, v, w])
-    r1 = float(np.linalg.norm(M @ s - 2.0 * sigma * s))
+    r1 = float(np.linalg.norm(phi.matvec(s) - 2.0 * sigma * s))
 
     e1 = np.concatenate([u, -v, z3])
     e2 = np.concatenate([u, z2, -w])
     r2 = max(
-        float(np.linalg.norm(M @ e1 + sigma * e1)),
-        float(np.linalg.norm(M @ e2 + sigma * e2)),
+        float(np.linalg.norm(phi.matvec(e1) + sigma * e1)),
+        float(np.linalg.norm(phi.matvec(e2) + sigma * e2)),
     )
 
     # Exactly one eigenvalue, the nearest, stands for 2 sigma; every other
@@ -249,44 +261,37 @@ def check_structural_eigenpairs(
     return StructuralReport(checks)
 
 
-def spike_core(signal: SignalTriple, cp: CriticalPoint):
-    """Block-diagonal embedding V of (x, y, z) and the 3x3 core S."""
-    n1, n2, n3 = signal.x.size, signal.y.size, signal.z.size
-    N = n1 + n2 + n3
-    V = np.zeros((N, 3))
-    V[:n1, 0] = signal.x
-    V[n1 : n1 + n2, 1] = signal.y
-    V[n1 + n2 :, 2] = signal.z
-    a1 = float(signal.x @ cp.u)
-    a2 = float(signal.y @ cp.v)
-    a3 = float(signal.z @ cp.w)
-    S = np.array([[0.0, a3, a2], [a3, 0.0, a1], [a2, a1, 0.0]])
-    return V, S
-
-
 def spike_decomposition_residual(
     phi: PhiMatrix,
     signal: SignalTriple,
-    cp: CriticalPoint,
+    cp,
     phi0: PhiMatrix,
     epsilon: float,
 ) -> float:
     """Operator norm (largest singular value) of
     E = Phi - eps*beta*V S V^T - Phi0; the claim is ||E|| -> 0.
 
-    diag(S) = 0, so E has zero diagonal blocks like Phi, and its norm is its
-    largest |eigenvalue|.
+    V = diag(x, y, z) and S = [[0, a3, a2], [a3, 0, a1], [a2, a1, 0]],
+    a1 = <x, u>, a2 = <y, v>, a3 = <z, w>: E has zero diagonal blocks like
+    Phi, and its norm is its largest |eigenvalue|.
     """
     if phi.shape != phi0.shape:
         raise DimensionMismatchError("phi and phi0 have different shapes")
-    V, S = spike_core(signal, cp)
-    E = phi.matrix - epsilon * signal.beta * (V @ S @ V.T) - phi0.matrix
-    return float(np.max(np.abs(PhiMatrix(phi.shape, E).eigenvalues)))
+    x, y, z = signal.x, signal.y, signal.z
+    a1, a2, a3 = float(x @ cp.u), float(y @ cp.v), float(z @ cp.w)
+    eb = epsilon * signal.beta
+    E = PhiMatrix(
+        phi.b12 - eb * np.outer(x * a3, y) - phi0.b12,
+        phi.b13 - eb * np.outer(x * a2, z) - phi0.b13,
+        phi.b23 - eb * np.outer(y * a1, z) - phi0.b23,
+    )
+    return float(np.max(np.abs(E.eigenvalues)))
 
 
 def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
     """Solve (Phi - sigma I) q = rhs with Phi's largest zero diagonal block
-    eliminated, as in the Newton step (rank_one._solve_zero_block).
+    eliminated (_solve_zero_block on split of the largest mode), as the
+    Newton step eliminates the w block.
 
     Refuses when sigma sits within GAP_TOL of an eigenvalue of Phi's
     cached spectrum, or of 0, by which the elimination divides.
@@ -299,15 +304,16 @@ def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue or of 0"
         )
-    rest, big = _largest_block(phi.shape)
-    C, q = phi.matrix[rest, big], np.empty_like(rhs)
-    q[rest], q[big] = _solve_zero_block(
-        phi.matrix[np.ix_(rest, rest)], C, C @ C.T, sigma, rhs[rest], rhs[big])
+    L = int(np.argmax(phi.shape.dims)) + 1
+    lo = np.cumsum((0,) + phi.shape.dims)
+    rest, big = np.r_[0 : lo[L - 1], lo[L] : lo[3]], slice(lo[L - 1], lo[L])
+    (A, C), q = phi.split(L), np.empty_like(rhs)
+    q[rest], q[big] = _solve_zero_block(A, C, C @ C.T, sigma, rhs[rest], rhs[big])
     return q
 
 
 def predict_factor_derivative(
-    phi: PhiMatrix, cp: CriticalPoint, entry: tuple, mask_bit: int
+    phi: PhiMatrix, cp, entry: tuple, mask_bit: int
 ) -> np.ndarray:
     """Predicted derivative of [u; v; w] w.r.t. the standard-normal noise
     entry (i, j, k), via the resolvent at sigma.

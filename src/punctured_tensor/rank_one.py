@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .phi_spectrum import _frozen_phi, _solve_zero_block
 from .tensor_core import (
     DimensionMismatchError,
     SignalTriple,
@@ -104,22 +105,11 @@ def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     )
 
 
-def _solve_zero_block(A, C, G, s, b1, b2):
-    """(q1, q2) for ([[A, C], [C^T, 0]] - s I) [q1; q2] = [b1; b2], s != 0,
-    G = C C^T. The zero block's rows give q2 = (C^T q1 - b2) / s, so q1
-    solves (A - s I + G / s) q1 = b1 + C b2 / s, of the first block's size."""
-    K = A + G / s
-    K.flat[:: K.shape[0] + 1] -= s
-    q1 = np.linalg.solve(K, b1 + C @ b2 / s)
-    return q1, (C.T @ q1 - b2) / s
-
-
 def _phi_blocks(tm, v, M3, M1):
     """(A, B, B B^T) for Phi = [[A, B], [B^T, 0]], the w block last:
-    A = [[0, M3], [M3^T, 0]], B = [tm(:, v, :); tm(u, :, :)] (one pass)."""
-    n1, n2 = M3.shape
-    A = np.block([[np.zeros((n1, n1)), M3], [M3.T, np.zeros((n2, n2))]])
-    B = np.vstack([contract_one(tm, 2, v), M1])
+    A = [[0, M3], [M3^T, 0]], B = [tm(:, v, :); tm(u, :, :)] (one pass).
+    M3 and M1 are the solver's own, so Phi takes them without a copy."""
+    A, B = _frozen_phi(M3, contract_one(tm, 2, v), M1).split(3)
     return A, B, B @ B.T
 
 

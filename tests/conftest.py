@@ -55,6 +55,18 @@ def triple_loop_one(values, mode, p):
     return out
 
 
+def dense(phi):
+    """Phi as a dense N x N array, assembled from its blocks b12, b13, b23
+    alone: the reference that PhiMatrix's own methods are checked against."""
+    b12, b13, b23 = phi.b12, phi.b13, phi.b23
+    (n1, n2), n3 = b12.shape, b23.shape[1]
+    return np.block([
+        [np.zeros((n1, n1)), b12, b13],
+        [b12.T, np.zeros((n2, n2)), b23],
+        [b13.T, b23.T, np.zeros((n3, n3))],
+    ])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -469,11 +469,22 @@ class TestCli:
         assert cfg.empirical is True
         assert cfg.base_seed == 7
 
-    def test_unknown_config_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("values, message", [
+        ({"shpae": [4, 4, 4]}, "unknown config keys"),
+        ({"shape": [4, 5]}, ""),
+        ({"trials": "3"}, ""),
+        ({"ratios": 5}, ""),
+    ], ids=["unknown-key", "two-dims", "string-trials", "scalar-ratios"])
+    def test_unknown_config_key(self, tmp_path, capsys, values, message):
+        # An unknown key, or a known one with a value of the wrong type, is a
+        # config error: exit 1 and a message, not a traceback, and no output.
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"shpae": [4, 4, 4]}))
-        assert main(["esd", "--config", str(cfg_path)]) == 1
-        assert "unknown config keys" in capsys.readouterr().err
+        cfg_path.write_text(json.dumps(values))
+        out = tmp_path / "run"
+        assert main(["esd", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
     def test_bad_grid(self, capsys):
         assert (
@@ -495,9 +506,23 @@ class TestCli:
             main(["no-such-command"])
         assert err.value.code == 1
 
-    def test_missing_grid(self, tmp_path, capsys):
-        assert main(["spike-curve", "--shape", "6,6,6", "--out", str(tmp_path)]) == 1
-        assert "requires --beta-grid" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, config, message", [
+        (["spike-curve"], None, "requires --beta-grid"),
+        (["spike-curve", "--beta-grid", "5:1:1"], None, "beta_grid needs at least one value"),
+        (["spike-curve"], {"beta_grid": []}, "beta_grid needs at least one value"),
+        (["epsilon-sweep", "--epsilon-grid", "0.9:0.1:0.1"], None,
+         "epsilon_grid needs at least one value"),
+    ], ids=["absent", "empty-range", "empty-list", "empty-epsilon-range"])
+    def test_missing_grid(self, tmp_path, capsys, argv, config, message):
+        # An absent or empty grid is refused before anything is drawn or
+        # written.
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = argv + ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "run"
+        assert main(argv + ["--shape", "6,6,6", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
     def test_missing_epsilon_grid(self, tmp_path, capsys):
         assert main(["epsilon-sweep", "--shape", "6,6,6", "--out", str(tmp_path)]) == 1

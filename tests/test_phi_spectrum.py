@@ -24,10 +24,11 @@ from punctured_tensor import (
     resolvent_solve,
     sample_mask,
     solve_critical_point,
-    spike_core,
     spike_decomposition_residual,
 )
 from punctured_tensor.tensor_core import DimensionMismatchError, contract_one
+
+from conftest import dense
 
 
 def _instance(shape, beta, epsilon, seed):
@@ -52,35 +53,42 @@ def _power_sweeps(tm, sig, count):
     return CriticalPoint(sigma, u, v, w)
 
 
-class TestPhiMatrix:
-    @pytest.mark.parametrize("block", [0, 1, 2])
-    def test_rejects_nonzero_diagonal_block(self, block):
-        sh = Shape3(2, 3, 4)
-        M = np.zeros((sh.N, sh.N))
-        i = sum(sh.dims[:block])
-        M[i, i + 1] = M[i + 1, i] = 1.0
-        with pytest.raises(ValueError, match="zero diagonal blocks"):
-            PhiMatrix(sh, M)
+def _spike_core(sig, cp):
+    """The block-diagonal embedding V of (x, y, z) and the 3x3 core S of the
+    overlaps, so that eps * beta * V S V^T is Phi's spike term."""
+    n1, n2 = sig.x.size, sig.y.size
+    V = np.zeros((n1 + n2 + sig.z.size, 3))
+    V[:n1, 0], V[n1 : n1 + n2, 1], V[n1 + n2 :, 2] = sig.x, sig.y, sig.z
+    a1, a2, a3 = float(sig.x @ cp.u), float(sig.y @ cp.v), float(sig.z @ cp.w)
+    return V, np.array([[0.0, a3, a2], [a3, 0.0, a1], [a2, a1, 0.0]])
 
-    @pytest.mark.parametrize("size", [(8, 8), (10, 10), (9, 8), (9,)])
+
+class TestPhiMatrix:
+    @pytest.mark.parametrize("size", [
+        ((2, 3), (2, 5), (3, 4)),  # b13 and b23 disagree on n3
+        ((2, 3), (3, 4), (3, 4)),  # b12 and b13 disagree on n1
+        ((2, 3), (2, 4), (2, 4)),  # b12 and b23 disagree on n2
+        ((6,), (2, 4), (3, 4)),  # a block that is not 2-D
+    ])
     def test_rejects_wrong_size(self, size):
         with pytest.raises(DimensionMismatchError):
-            PhiMatrix(Shape3(2, 3, 4), np.zeros(size))
+            PhiMatrix(*(np.zeros(s) for s in size))
 
     def test_keeps_a_private_copy(self):
-        # The caller's array stays writable, and writing to it changes
-        # neither the matrix nor the eigenvalues. A read-only matrix, as the
-        # builders pass, is kept without a copy.
-        sh = Shape3(4, 5, 6)
-        M = np.zeros((sh.N, sh.N))
-        M[0, 4] = M[4, 0] = 2.0
-        want = PhiMatrix(sh, M.copy()).eigenvalues
-        phi = PhiMatrix(sh, M)
-        M[0, 4] = M[4, 0] = 1.0
-        assert phi.matrix[0, 4] == 2.0
+        # The caller's blocks stay writable, and writing to them changes
+        # neither Phi nor its eigenvalues. Read-only blocks, as the builders
+        # pass, are kept without a copy.
+        b12, b13, b23 = np.zeros((4, 5)), np.zeros((4, 6)), np.zeros((5, 6))
+        b12[0, 0] = 2.0
+        want = PhiMatrix(b12.copy(), b13, b23).eigenvalues
+        phi = PhiMatrix(b12, b13, b23)
+        b12[0, 0] = 1.0
+        assert phi.b12[0, 0] == 2.0
         np.testing.assert_array_equal(phi.eigenvalues, want)
-        assert not phi.matrix.flags.writeable
-        assert PhiMatrix(sh, phi.matrix).matrix is phi.matrix
+        blocks = (phi.b12, phi.b13, phi.b23)
+        assert not any(b.flags.writeable for b in blocks)
+        again = PhiMatrix(*blocks)
+        assert all(a is b for a, b in zip((again.b12, again.b13, again.b23), blocks))
 
 
 class TestBuildPhi:
@@ -91,7 +99,7 @@ class TestBuildPhi:
         tm = Tensor3(rng.standard_normal(sh.dims))
         u, v, w = (rng.standard_normal(n) for n in sh.dims)
         u, v, w = (f / np.linalg.norm(f) for f in (u, v, w))
-        phi = build_phi(tm, u, v, w).matrix
+        phi = dense(build_phi(tm, u, v, w))
         A = tm.values
         for i in range(3):
             for j in range(4):
@@ -102,23 +110,6 @@ class TestBuildPhi:
         for j in range(4):
             for k in range(5):
                 assert abs(phi[3 + j, 7 + k] - sum(A[i, j, k] * u[i] for i in range(3))) < 1e-12
-
-    def test_symmetry_and_zero_diagonal_blocks(self, rng):
-        sh = Shape3(4, 5, 6)
-        tm = Tensor3(rng.standard_normal(sh.dims))
-        u, v, w = (np.eye(n)[0] for n in sh.dims)
-        phi = build_phi(tm, u, v, w)
-        M = phi.matrix
-        assert np.array_equal(M, M.T)
-        s1, s2, s3 = phi.block_slices
-        for s in (s1, s2, s3):
-            assert np.all(M[s, s] == 0.0)
-
-    def test_trace_is_zero(self, rng):
-        sh = Shape3(5, 6, 7)
-        tm = Tensor3(rng.standard_normal(sh.dims))
-        u, v, w = (rng.standard_normal(n) for n in sh.dims)
-        assert abs(np.trace(build_phi(tm, u, v, w).matrix)) < 1e-12
 
     def test_factor_length_check(self, rng):
         tm = Tensor3(rng.standard_normal((3, 4, 5)))
@@ -140,23 +131,13 @@ class TestStreamedPhi0:
             m = sample_mask(sh, eps, RngSeed(seed, 2))
             return np.linalg.norm(contract_one(hadamard(t, m), 3, w) @ v)
 
-        streamed, dense = [], []
+        streamed, direct = [], []
         for seed in range(40):
             phi = build_phi0_streamed(sh, eps, u, v, w, RngSeed(seed, 5))
             n1 = sh.n1
-            streamed.append(np.linalg.norm(phi.matrix[:n1, n1 : n1 + sh.n2] @ v))
-            dense.append(dense_b12(seed))
-        assert abs(np.mean(streamed) - np.mean(dense)) < 0.15 * np.mean(dense)
-
-    def test_structure(self):
-        sh = Shape3(8, 9, 10)
-        u, v, w = (np.ones(n) / np.sqrt(n) for n in sh.dims)
-        phi = build_phi0_streamed(sh, 0.5, u, v, w, RngSeed(7))
-        M = phi.matrix
-        assert np.array_equal(M, M.T)
-        s1, s2, s3 = phi.block_slices
-        for s in (s1, s2, s3):
-            assert np.all(M[s, s] == 0.0)
+            streamed.append(np.linalg.norm(dense(phi)[:n1, n1 : n1 + sh.n2] @ v))
+            direct.append(dense_b12(seed))
+        assert abs(np.mean(streamed) - np.mean(direct)) < 0.15 * np.mean(direct)
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_stream_layout(self, eps):
@@ -166,13 +147,13 @@ class TestStreamedPhi0:
         sh = Shape3(5, 6, 7)
         u, v, w = (np.random.default_rng(n).standard_normal(n) for n in sh.dims)
         gen = RngSeed(11).generator()
-        dense = np.zeros(sh.dims)
+        values = np.zeros(sh.dims)
         for k in range(sh.n3):
             keep = gen.random((sh.n1, sh.n2)) < eps
-            dense[:, :, k][keep] = gen.standard_normal(np.count_nonzero(keep))
-        dense /= np.sqrt(sh.N)
-        got = build_phi0_streamed(sh, eps, u, v, w, RngSeed(11)).matrix
-        want = build_phi(Tensor3(dense), u, v, w).matrix
+            values[:, :, k][keep] = gen.standard_normal(np.count_nonzero(keep))
+        values /= np.sqrt(sh.N)
+        got = dense(build_phi0_streamed(sh, eps, u, v, w, RngSeed(11)))
+        want = dense(build_phi(Tensor3(values), u, v, w))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("eps", [-0.1, 1.5])
@@ -186,7 +167,7 @@ class TestStreamedPhi0:
         sh = Shape3(4, 5, 6)
         u, v, w = (np.ones(n) / np.sqrt(n) for n in sh.dims)
         phi = build_phi0_streamed(sh, 0.0, u, v, w, RngSeed(0))
-        assert np.all(phi.matrix == 0.0)
+        assert np.all(dense(phi) == 0.0)
 
 
 class TestEigenSpectrum:
@@ -198,11 +179,12 @@ class TestEigenSpectrum:
         spec = eigen_spectrum(phi)
         assert np.all(np.diff(spec.eigenvalues) <= 0)
         # eigh sorts ascending: descending index idx pairs with column -1 - idx.
-        vecs = np.linalg.eigh(phi.matrix)[1]
+        M = dense(phi)
+        vecs = np.linalg.eigh(M)[1]
         for idx in (0, 7, 14):
             lam = spec.eigenvalues[idx]
             vec = vecs[:, -1 - idx]
-            assert np.linalg.norm(phi.matrix @ vec - lam * vec) < 1e-10
+            assert np.linalg.norm(M @ vec - lam * vec) < 1e-10
 
     def test_zero_count_block_rank_deficiency(self, rng):
         # With n3 much larger than n1 + n2 the rank of Phi is limited by the
@@ -228,8 +210,9 @@ class TestEigenSpectrum:
         for dims, core in (((6, 7, 8), 21), ((3, 4, 20), 14)):
             tm, _, cp = _instance(Shape3(*dims), 3.0, 0.5, 6)
             phi = build_phi(tm, cp.u, cp.v, cp.w)
-            with pytest.raises(ValueError):
-                phi.matrix[0, 1] = 1.0  # read-only, so the cached spectrum holds
+            for block in (phi.b12, phi.b13, phi.b23):
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0  # read-only, so the cached spectrum holds
             calls.clear()
             eigen_spectrum(phi)
             check_structural_eigenpairs(phi, cp)
@@ -248,18 +231,16 @@ class TestEigenSpectrum:
         seed=st.integers(0, 2**16),
     )
     def test_reduced_core_matches_dense(self, dims, eps, rank, seed):
-        # Random symmetric matrices with zero diagonal blocks, with each mode
-        # as the largest and cube shapes. With `rank` set, the blocks between
-        # the largest mode L and the rest are a rank-`rank` product, so
-        # C = M[rest, L] is rank deficient at every shape.
+        # Random blocks, with each mode as the largest and cube shapes. With
+        # `rank` set, the blocks between the largest mode L and the rest are a
+        # rank-`rank` product, so C of split(L) is rank deficient at every
+        # shape. Matrix-vector products are checked on a unit vector.
         sh = Shape3(*dims)
         N, n_L = sh.N, max(dims)
         gen = np.random.default_rng(seed)
         M = np.triu(gen.standard_normal((N, N)) * (gen.random((N, N)) < eps))
         M += M.T
         lo = np.cumsum((0,) + sh.dims)
-        for a, b in zip(lo[:-1], lo[1:]):
-            M[a:b, a:b] = 0.0
         if rank is not None:
             big = dims.index(n_L)
             L = np.arange(lo[big], lo[big + 1])
@@ -267,12 +248,18 @@ class TestEigenSpectrum:
             C = gen.standard_normal((rest.size, rank)) @ gen.standard_normal((rank, n_L))
             M[np.ix_(rest, L)] = C
             M[np.ix_(L, rest)] = C.T
-        vals = PhiMatrix(sh, M).eigenvalues
-        ref = np.linalg.eigvalsh(M)
+        s1, s2, s3 = (slice(a, b) for a, b in zip(lo[:-1], lo[1:]))
+        phi = PhiMatrix(M[s1, s2], M[s1, s3], M[s2, s3])
+        vals = phi.eigenvalues
+        ref = np.linalg.eigvalsh(dense(phi))
         scale = max(1.0, float(np.max(np.abs(ref))))
+        bound = 4 * N * np.finfo(float).eps * scale
         assert np.all(np.diff(vals) >= 0.0)
-        assert np.max(np.abs(vals - ref)) <= 4 * N * np.finfo(float).eps * scale
+        assert np.max(np.abs(vals - ref)) <= bound
         assert np.count_nonzero(vals == 0.0) >= max(0, 2 * n_L - N)
+        x = gen.standard_normal(N)
+        x /= np.linalg.norm(x)
+        assert np.max(np.abs(phi.matvec(x) - dense(phi) @ x)) <= bound
 
 
 class TestStructuralEigenpairs:
@@ -328,16 +315,15 @@ class TestStructuralEigenpairs:
         sig = SignalTriple.random(sh, 3.0, RngSeed(7))
         t = Tensor3(3.0 * np.einsum("i,j,k->ijk", sig.x, sig.y, sig.z))
         cp = solve_critical_point(t, SolverConfig(reference=sig))
-        M = build_phi(t, cp.u, cp.v, cp.w).matrix.copy()
+        phi = build_phi(t, cp.u, cp.v, cp.w)
         gen = np.random.default_rng(7)
         a = gen.standard_normal(4)
         a -= (a @ cp.u) * cp.u
         b = gen.standard_normal(5)
         b -= (b @ cp.v) * cp.v
         c = 2.0 * cp.sigma * (1.0 - 1e-10)
-        M[:4, 4:9] += c * np.outer(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
-        M[4:9, :4] = M[:4, 4:9].T
-        report = check_structural_eigenpairs(PhiMatrix(sh, M), cp, tol=1e-8)
+        b12 = phi.b12 + c * np.outer(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        report = check_structural_eigenpairs(PhiMatrix(b12, phi.b13, phi.b23), cp, tol=1e-8)
         assert [c.name for c in report.failures()] == ["bulk_bounded_by_sigma"]
         assert report.checks[2].residual == pytest.approx(cp.sigma, rel=1e-9)
 
@@ -361,14 +347,21 @@ class TestStructuralEigenpairs:
 
 class TestSpikeDecomposition:
     def test_core_matrix(self):
+        # The dense spike term eps * beta * V S V^T is what the residual
+        # removes: against a zero Phi0 it is the norm of Phi minus that term.
         tm, sig, cp = _instance(Shape3(10, 12, 14), 4.0, 0.5, 5)
-        V, S = spike_core(sig, cp)
+        V, S = _spike_core(sig, cp)
         assert V.shape == (36, 3)
         assert np.array_equal(S, S.T)
         assert np.all(np.diag(S) == 0.0)
         assert S[1, 2] == pytest.approx(float(sig.x @ cp.u))
         # V has orthonormal columns.
         np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-12)
+        phi = build_phi(tm, cp.u, cp.v, cp.w)
+        zero = PhiMatrix(*(np.zeros_like(b) for b in (phi.b12, phi.b13, phi.b23)))
+        E = dense(phi) - 0.5 * sig.beta * (V @ S @ V.T)
+        got = spike_decomposition_residual(phi, sig, cp, zero, 0.5)
+        assert abs(got - np.linalg.norm(E, 2)) <= 1e-12
 
     def test_residual_small_and_shrinking(self):
         # ||E|| should be well below eps*beta and shrink with N.
@@ -389,15 +382,15 @@ class TestSpikeDecomposition:
                 spike_decomposition_residual(phi, sig, cp, phi0, m.epsilon)
             )
             # The eigenvalue route must give the largest singular value.
-            V, S = spike_core(sig, cp)
-            E = phi.matrix - m.epsilon * sig.beta * (V @ S @ V.T) - phi0.matrix
+            V, S = _spike_core(sig, cp)
+            E = dense(phi) - m.epsilon * sig.beta * (V @ S @ V.T) - dense(phi0)
             assert abs(norms[-1] - np.linalg.norm(E, 2)) <= 1e-12
         assert norms[1] < 4.0 * 0.5  # far below eps * beta scale
         assert norms[1] < norms[0] + 0.1
 
     def test_shape_mismatch(self):
-        phi_a = PhiMatrix(Shape3(2, 2, 2), np.zeros((6, 6)))
-        phi_b = PhiMatrix(Shape3(2, 2, 3), np.zeros((7, 7)))
+        phi_a = PhiMatrix(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)))
+        phi_b = PhiMatrix(np.zeros((2, 2)), np.zeros((2, 3)), np.zeros((2, 3)))
         sig = SignalTriple.random(Shape3(2, 2, 2), 1.0, RngSeed(0))
         cp = solve_critical_point(
             Tensor3(np.einsum("i,j,k->ijk", sig.x, sig.y, sig.z)),
@@ -413,12 +406,11 @@ class TestResolvent:
         tm = Tensor3(rng.standard_normal(sh.dims))
         u, v, w = (rng.standard_normal(n) / 2.0 for n in sh.dims)
         phi = build_phi(tm, u, v, w)
-        sigma = float(np.max(np.abs(np.linalg.eigvalsh(phi.matrix)))) + 1.0
+        M = dense(phi)
+        sigma = float(np.max(np.abs(np.linalg.eigvalsh(M)))) + 1.0
         rhs = rng.standard_normal(sh.N)
         q = resolvent_solve(phi, sigma, rhs)
-        np.testing.assert_allclose(
-            (phi.matrix - sigma * np.eye(sh.N)) @ q, rhs, atol=1e-10
-        )
+        np.testing.assert_allclose((M - sigma * np.eye(sh.N)) @ q, rhs, atol=1e-10)
 
     @pytest.mark.parametrize("dims", [(5, 6, 7), (9, 3, 4), (3, 12, 4), (4, 4, 4), (2, 3, 30)])
     def test_elimination_matches_full_solve(self, rng, dims):
@@ -432,7 +424,7 @@ class TestResolvent:
         for sigma in (0.37 * top, -0.61 * top, 1.2 * top):
             for rhs in (rng.standard_normal(sh.N), rng.standard_normal((sh.N, 3))):
                 q = resolvent_solve(phi, sigma, rhs)
-                want = np.linalg.solve(phi.matrix - sigma * np.eye(sh.N), rhs)
+                want = np.linalg.solve(dense(phi) - sigma * np.eye(sh.N), rhs)
                 assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_rejects_sigma_near_zero(self, rng):
@@ -449,7 +441,7 @@ class TestResolvent:
         tm = Tensor3(rng.standard_normal(sh.dims))
         u, v, w = (rng.standard_normal(3) for _ in range(3))
         phi = build_phi(tm, u, v, w)
-        lam = float(np.linalg.eigvalsh(phi.matrix)[-1])
+        lam = float(np.linalg.eigvalsh(dense(phi))[-1])
         with pytest.raises(SingularResolventError):
             resolvent_solve(phi, lam + 1e-12, np.ones(9))
 
@@ -516,6 +508,6 @@ class TestESDHistogram:
         assert int(hist.counts.sum()) == sh.N - spec.zero_count
 
     def test_bad_bins(self, rng):
-        spec = eigen_spectrum(PhiMatrix(Shape3(1, 1, 1), np.zeros((3, 3))))
+        spec = eigen_spectrum(PhiMatrix(*(np.zeros((1, 1)) for _ in range(3))))
         with pytest.raises(ValueError):
             esd_histogram(spec, bins=0)

@@ -32,6 +32,8 @@ from punctured_tensor.tensor_core import (
     contract_one,
 )
 
+from conftest import dense
+
 EPS32 = float(np.finfo(np.float32).eps)
 
 
@@ -382,7 +384,7 @@ class TestPolishReusesContractions:
 def _tangent_top(tm, cp):
     """Largest eigenvalue of Phi on the tangent space of the three spheres at
     cp: Phi projected on the complement of [u;0;0], [0;v;0] and [0;0;w]."""
-    phi = build_phi(tm, cp.u, cp.v, cp.w).matrix
+    phi = dense(build_phi(tm, cp.u, cp.v, cp.w))
     N = phi.shape[0]
     radial = np.zeros((N, 3))
     lo = np.cumsum((0,) + tm.shape.dims)
@@ -416,7 +418,7 @@ class TestNewtonFinish:
         tm, _, _, sig = _masked_instance(Shape3(7, 9, 11), 2.0, 0.6, 3)
         sigma, u, v, w, M3, M1, _ = _sweeps(tm, sig, 3)
         x = np.concatenate([u, v, w])
-        phi = build_phi(tm, u, v, w).matrix
+        phi = dense(build_phi(tm, u, v, w))
         # Phi x / 2 = [tm(:, v, w); tm(u, :, w); tm(u, v, :)].
         r = phi @ x / 2.0 - sigma * x
         blocks = rank_one._phi_blocks(tm, v, M3, M1)
@@ -437,7 +439,7 @@ class TestNewtonFinish:
         cp = solve_critical_point(
             tm, SolverConfig(max_iter=100_000, factors=_random_start(dims, seed))
         )
-        phi = build_phi(tm, cp.u, cp.v, cp.w).matrix
+        phi = dense(build_phi(tm, cp.u, cp.v, cp.w))
         z = np.concatenate([cp.u, cp.v, cp.w]) / np.sqrt(3.0)
         M3, M1 = contract_one(tm, 3, cp.w), contract_one(tm, 1, cp.u)
         blocks = rank_one._phi_blocks(tm, cp.v, M3, M1)
