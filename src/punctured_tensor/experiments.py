@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,10 @@ class ValidationFailure(RuntimeError):
 # Noise-entry step of the central finite differences in the derivative check.
 FD_STEP = 1e-5
 
+# The type each ExperimentConfig field declares, by the name in its annotation.
+_FIELD_TYPES = {"Shape3": Shape3, "tuple": tuple, "int": numbers.Integral,
+                "float": numbers.Real, "str": str, "Path": Path, "bool": bool}
+
 
 @dataclass
 class ExperimentConfig:
@@ -77,6 +82,13 @@ class ExperimentConfig:
     scan_sweeps: int = 50
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), f.type.removesuffix(" | None")
+            if value is None and kind != f.type:
+                continue
+            if isinstance(value, bool) != (kind == "bool") or not isinstance(
+                    value, _FIELD_TYPES[kind]):
+                raise TypeError(f"{f.name} must be {kind}, got {value!r}")
         if self.init not in ("random", "planted"):
             raise ValueError(f"init must be 'random' or 'planted', got {self.init!r}")
         if self.trials < 1:

@@ -20,6 +20,7 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    _parallel_map,
     check_epsilon,
     check_factors,
     contract_one,
@@ -34,6 +35,8 @@ class SingularResolventError(RuntimeError):
 ZERO_TOL = 1e-10
 # resolvent_solve refuses a sigma closer than GAP_TOL to an eigenvalue.
 GAP_TOL = 1e-8
+# build_phi0_streamed draws mode 3 in blocks of this many slabs, one substream each.
+PHI0_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -182,29 +185,41 @@ def build_phi0_streamed(
     """Phi of a pure-noise masked tensor, built slab by slab along mode 3.
 
     Never materializes the n1 x n2 x n3 array, so large-N spectra fit in
-    memory. Each mode-3 slab draws its Bernoulli(epsilon) mask first (n1*n2
-    uniforms, C order) and then one standard normal for each kept entry
-    only, in C order, so about epsilon * n1*n2*n3 normals are drawn in all.
-    This is a different stream layout than generate_spiked + sample_mask;
+    memory. Mode 3 is drawn in blocks of PHI0_BLOCK slabs on the thread
+    pool, block c from SeedSequence(rng.seed, spawn_key=(rng.stream, c)), and
+    the blocks' parts of b12 are added in block order, so Phi is bit-identical
+    whatever the number of workers. Each slab draws its Bernoulli(epsilon)
+    mask first (n1*n2 uniforms, C order) and then one standard normal for
+    each kept entry only, in C order, so about epsilon * n1*n2*n3 normals
+    are drawn in all. This is a different stream layout than generate_spiked + sample_mask;
     the two are equal in distribution, not bit-for-bit.
     """
     u, v, w = check_factors(shape, (u, v, w))
     check_epsilon(epsilon)
     n1, n2, n3 = shape.dims
-    gen = rng.generator()
     scale = 1.0 / np.sqrt(shape.N)
-    b12 = np.zeros((n1, n2))
     b13 = np.zeros((n1, n3))
     b23 = np.zeros((n2, n3))
-    slab = np.zeros((n1, n2))
-    flat = slab.reshape(-1)
-    for k in range(n3):
-        kept = np.flatnonzero(gen.random(n1 * n2) < epsilon)
-        flat[:] = 0.0
-        flat[kept] = gen.standard_normal(kept.size) * scale
-        b12 += w[k] * slab
-        b13[:, k] = slab @ v
-        b23[:, k] = slab.T @ u
+
+    def block(c):
+        gen = np.random.default_rng(
+            np.random.SeedSequence(entropy=rng.seed, spawn_key=(rng.stream, c)))
+        b12 = np.zeros((n1, n2))
+        slab = np.zeros((n1, n2))
+        flat = slab.reshape(-1)
+        for k in range(c * PHI0_BLOCK, min(n3, (c + 1) * PHI0_BLOCK)):
+            kept = np.flatnonzero(gen.random(n1 * n2) < epsilon)
+            flat[:] = 0.0
+            flat[kept] = gen.standard_normal(kept.size) * scale
+            b12 += w[k] * slab
+            b13[:, k] = slab @ v
+            b23[:, k] = slab.T @ u
+        return b12
+
+    parts = _parallel_map(block, range(-(-n3 // PHI0_BLOCK)))
+    b12 = next(parts)
+    for part in parts:
+        b12 += part
     return _frozen_phi(b12, b13, b23)
 
 

@@ -7,11 +7,13 @@ A Monte Carlo trial is drawn once for a whole grid of mask levels:
 draw_trial draws the noise and one uniform U per entry, and puncture then
 keeps the entries with U < epsilon at any epsilon of the grid. The grid
 values share the draw, so they are coupled: a higher epsilon keeps a
-superset of the entries a lower one keeps.
+superset of the entries a lower one keeps. Masks are drawn on a thread
+pool, bit-identical whatever its number of workers.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,22 +180,48 @@ def check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
 
 
-def _spike(signal: SignalTriple) -> np.ndarray | None:
-    """beta * x (x) y (x) z in a fresh buffer, or None when beta is 0."""
+def _spike(signal: SignalTriple, rows: slice = slice(None)) -> np.ndarray | None:
+    """beta * x[rows] (x) y (x) z in a fresh buffer, or None when beta is 0."""
     if signal.beta == 0.0:
         return None
-    spike = np.einsum("i,j,k->ijk", signal.x, signal.y, signal.z)
+    spike = np.einsum("i,j,k->ijk", signal.x[rows], signal.y, signal.z)
     spike *= signal.beta
     return spike
 
 
 def _scale_and_spike(g: np.ndarray, signal: SignalTriple) -> np.ndarray:
-    """Turn standard normals g into g / sqrt(N) + beta * x (x) y (x) z in place."""
+    """Turn standard normals g into g / sqrt(N) + beta * x (x) y (x) z in place,
+    adding the spike in blocks of mode-1 slabs of about _RANK_CHUNK entries
+    (rounded as the whole spike), so no full-size temporary is built."""
     g /= np.sqrt(sum(g.shape))
-    spike = _spike(signal)
-    if spike is not None:
-        g += spike
+    if signal.beta != 0.0:
+        rows = max(1, _RANK_CHUNK // g[0].size)
+        for i in range(0, g.shape[0], rows):
+            g[i : i + rows] += _spike(signal, slice(i, i + rows))
     return g
+
+
+# The thread pool, built on first use. A forked child has none of its
+# threads, so it drops the pool and builds its own.
+_pool = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _pool.clear())
+
+
+def _parallel_map(fn, items):
+    """An iterator of fn over items, in order, run on the thread pool (one
+    worker per usable CPU); a single item runs on the caller's thread. fn
+    must call no public function of the package: benchmark/tracing.py wraps
+    those with one span stack for all threads."""
+    items = list(items)
+    if len(items) <= 1:
+        return map(fn, items)
+    if not _pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        _pool.append(ThreadPoolExecutor(len(cpus) if cpus else os.cpu_count()))
+    return _pool[0].map(fn, items)
 
 
 def _frozen(values: np.ndarray) -> Tensor3:
@@ -210,16 +238,46 @@ def generate_spiked(shape: Shape3, signal: SignalTriple, rng: RngSeed) -> Tensor
 
 
 def sample_mask(shape: Shape3, epsilon: float, rng: RngSeed) -> MaskTensor:
-    """Sample an i.i.d. Bernoulli(epsilon) 0/1 mask."""
+    """Sample an i.i.d. Bernoulli(epsilon) 0/1 mask: bit for bit, U < epsilon
+    for U = rng.generator().random(shape.dims), never held whole."""
     check_epsilon(epsilon)
-    bits = (rng.generator().random(shape.dims) < epsilon).astype(np.uint8)
+    bits = np.empty(shape.dims, dtype=np.uint8)
+    flat = bits.reshape(-1).view(bool)
+    _each_uniform_chunk(rng.generator(), bits.size, lambda start, u: np.less(
+        u, epsilon, out=flat[start : start + u.size]))
     return MaskTensor(bits, epsilon)
 
 
-# Uniforms are drawn and ranked in chunks of this many entries, so that no
-# float64 copy of U is held: drawing in pieces leaves the generator's stream
-# and final state exactly as one draw of the whole tensor would.
+# Uniforms are drawn in chunks of this many entries, on the thread pool, so
+# that no float64 copy of U is held. Larger chunks cost memory, not time.
 _RANK_CHUNK = 1 << 16
+
+
+def _each_uniform_chunk(gen: np.random.Generator, size: int, fn) -> None:
+    """fn(start, U[start : start + _RANK_CHUNK]) for the next size uniforms U
+    of gen, a PCG64 generator, chunk by chunk on the thread pool.
+
+    random() takes one 64-bit output per double, so each chunk draws from
+    gen's state, copied before any chunk draws and advanced to the chunk's
+    offset. gen then ends exactly where one draw of all of U leaves it. A
+    single chunk is drawn straight from gen.
+    """
+    if size <= _RANK_CHUNK:
+        fn(0, gen.random(size))
+        return
+    state = gen.bit_generator.state
+
+    def chunk(start):
+        bg = np.random.PCG64()
+        bg.state = state
+        u = np.random.Generator(bg.advance(start)).random(min(_RANK_CHUNK, size - start))
+        fn(start, u)
+
+    for _ in _parallel_map(chunk, range(0, size, _RANK_CHUNK)):
+        pass
+    # advance() drops a buffered 32-bit output, which one whole draw keeps.
+    gen.bit_generator.state = {**gen.bit_generator.advance(size).state, **{
+        key: state[key] for key in ("has_uint32", "uinteger")}}
 
 
 @dataclass(frozen=True)
@@ -246,9 +304,11 @@ def draw_trial(
 
     When gen is rng.generator(), puncture(draw, epsilon) equals, bit for
     bit, generate_spiked(shape, signal, rng), which draws the same G,
-    punctured by the mask U < epsilon. The caller goes on drawing from gen
-    (a trial's random starts), which is then where one draw of all of G and
-    of all of U would leave it. Ranking U costs one comparison per entry and grid level.
+    punctured by the mask U < epsilon. U is drawn and ranked in chunks on
+    the thread pool, so gen must run on PCG64, as rng.generator() does. The
+    caller goes on drawing from gen (a trial's random starts), which is then
+    where one draw of all of G and of all of U would leave it. Ranking U
+    costs one comparison per entry and grid level.
     """
     signal.check_shape(shape)
     levels = sorted(set(float(eps) for eps in grid))
@@ -258,13 +318,14 @@ def draw_trial(
         check_epsilon(eps)
     values = gen.standard_normal(shape.dims)
     rank = np.zeros(values.size, dtype=np.min_scalar_type(len(levels)))
-    above = np.empty(min(_RANK_CHUNK, rank.size), dtype=bool)
-    for start in range(0, rank.size, _RANK_CHUNK):
-        u = gen.random(min(_RANK_CHUNK, rank.size - start))
-        r, ge = rank[start : start + u.size], above[: u.size]
+
+    def count_levels(start, u):
+        r, ge = rank[start : start + u.size], np.empty(u.size, dtype=bool)
         for eps in levels:
             np.greater_equal(u, eps, out=ge)
             r += ge.view(np.uint8)
+
+    _each_uniform_chunk(gen, rank.size, count_levels)
     _scale_and_spike(values, signal)
     values.flags.writeable = False
     rank = rank.reshape(shape.dims)

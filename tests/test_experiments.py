@@ -474,14 +474,26 @@ class TestCli:
         ({"shape": [4, 5]}, ""),
         ({"trials": "3"}, ""),
         ({"ratios": 5}, ""),
-    ], ids=["unknown-key", "two-dims", "string-trials", "scalar-ratios"])
+        ({"beta": "3"}, "beta must be float"),
+        ({"tol": "1e-8"}, "tol must be float"),
+        ({"bins": "10"}, "bins must be int"),
+        ({"eta": "1e-6"}, "eta must be float"),
+        ({"epsilon": "0.5"}, "epsilon must be float"),
+    ], ids=["unknown-key", "two-dims", "string-trials", "scalar-ratios",
+            "string-beta", "string-tol", "string-bins", "string-eta",
+            "string-epsilon"])
     def test_unknown_config_key(self, tmp_path, capsys, values, message):
         # An unknown key, or a known one with a value of the wrong type, is a
         # config error: exit 1 and a message, not a traceback, and no output.
+        # A file without a shape gets one from the command line, so that a
+        # value the run would only read later is caught too.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(values))
         out = tmp_path / "run"
-        assert main(["esd", "--config", str(cfg_path), "--out", str(out)]) == 1
+        args = ["esd", "--config", str(cfg_path), "--out", str(out)]
+        if "shape" not in values:
+            args += ["--shape", "6,6,6"]
+        assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not out.exists()

@@ -26,6 +26,7 @@ from punctured_tensor import (
     solve_critical_point,
     spike_decomposition_residual,
 )
+from punctured_tensor.phi_spectrum import PHI0_BLOCK
 from punctured_tensor.tensor_core import DimensionMismatchError, contract_one
 
 from conftest import dense
@@ -141,18 +142,22 @@ class TestStreamedPhi0:
 
     @pytest.mark.parametrize("eps", [0.3, 1.0])
     def test_stream_layout(self, eps):
-        # Pins the draw order: per mode-3 slab, the mask's uniforms first,
-        # then one normal for each kept entry in C order. The dense masked
-        # tensor rebuilt from the same stream must give the same Phi.
-        sh = Shape3(5, 6, 7)
+        # Pins the draw order: mode 3 in blocks of PHI0_BLOCK slabs, block c
+        # drawing from SeedSequence(seed, spawn_key=(stream, c)); per slab,
+        # the mask's uniforms first, then one normal for each kept entry in
+        # C order. Three blocks, the last one short. The dense masked tensor
+        # rebuilt from the same streams must give the same Phi.
+        sh = Shape3(5, 6, 2 * PHI0_BLOCK + 22)
         u, v, w = (np.random.default_rng(n).standard_normal(n) for n in sh.dims)
-        gen = RngSeed(11).generator()
         values = np.zeros(sh.dims)
         for k in range(sh.n3):
+            if k % PHI0_BLOCK == 0:
+                gen = np.random.default_rng(
+                    np.random.SeedSequence(11, spawn_key=(2, k // PHI0_BLOCK)))
             keep = gen.random((sh.n1, sh.n2)) < eps
             values[:, :, k][keep] = gen.standard_normal(np.count_nonzero(keep))
         values /= np.sqrt(sh.N)
-        got = dense(build_phi0_streamed(sh, eps, u, v, w, RngSeed(11)))
+        got = dense(build_phi0_streamed(sh, eps, u, v, w, RngSeed(11, 2)))
         want = dense(build_phi(Tensor3(values), u, v, w))
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

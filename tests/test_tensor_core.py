@@ -1,4 +1,7 @@
+import multiprocessing
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from punctured_tensor import (
     Shape3,
     SignalTriple,
     Tensor3,
+    build_phi0_streamed,
     contract_full,
     contract_one,
     draw_trial,
@@ -17,6 +21,7 @@ from punctured_tensor import (
     puncture,
     sample_mask,
 )
+from punctured_tensor import tensor_core
 from punctured_tensor.tensor_core import DimensionMismatchError, _contract
 
 from conftest import triple_loop_full, triple_loop_mode, triple_loop_one
@@ -83,6 +88,19 @@ class TestGenerateSpiked:
         c = generate_spiked(sh, sig, RngSeed(5, 4))
         assert not np.array_equal(a.values, c.values)
 
+    # The spike is added in blocks of slabs: three blocks of 32, 32 and 6
+    # slabs of 2000 entries, or one slab of 90 000 entries per block.
+    @pytest.mark.parametrize("dims, beta", [
+        ((70, 40, 50), 2.5), ((3, 300, 300), 2.5), ((70, 40, 50), 0.0)])
+    def test_matches_whole_array_formula(self, dims, beta):
+        # Every entry must round as in the whole-array formula.
+        sh = Shape3(*dims)
+        sig = SignalTriple.random(sh, beta, RngSeed(9))
+        g = RngSeed(5, 1).generator().standard_normal(sh.dims)
+        want = g / np.sqrt(sh.N) + beta * np.einsum("i,j,k->ijk", sig.x, sig.y, sig.z)
+        got = generate_spiked(sh, sig, RngSeed(5, 1))
+        assert got.values.tobytes() == want.tobytes()
+
 
 class TestSampleMask:
     def test_degenerate(self):
@@ -96,6 +114,14 @@ class TestSampleMask:
         m = sample_mask(sh, eps, RngSeed(11))
         band = 5.0 * np.sqrt(eps * (1 - eps) / (sh.n1 * sh.n2 * sh.n3))
         assert abs(m.fill_fraction() - eps) < band
+
+    # 60 entries fit in one chunk; 72 000 make two, the second short.
+    @pytest.mark.parametrize("dims", [(3, 4, 5), (20, 40, 90)])
+    def test_matches_whole_uniform_draw(self, dims):
+        sh = Shape3(*dims)
+        want = RngSeed(7, 2).generator().random(sh.dims) < 0.35
+        got = sample_mask(sh, 0.35, RngSeed(7, 2))
+        assert got.bits.tobytes() == want.astype(np.uint8).tobytes()
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -172,6 +198,18 @@ class TestDrawTrial:
             got = puncture(draw0, eps, signal)
             assert got.values.tobytes() == want.values.tobytes()
 
+    def test_generator_keeps_a_buffered_32_bit_output(self):
+        # One whole draw of U leaves a buffered 32-bit output in place; the
+        # chunked draw must leave gen in exactly that state too.
+        signal = SignalTriple.random(self.shape, 2.0, RngSeed(1))
+        gen, ref = RngSeed(5, 1).generator(), RngSeed(5, 1).generator()
+        for g in (gen, ref):
+            g.integers(2**32, dtype=np.uint32)
+        draw_trial(self.shape, signal, (0.5,), gen)
+        _whole_draws(self.shape, ref)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert gen.bit_generator.state["has_uint32"] == 1
+
     def test_uniform_equal_to_a_level_is_dropped(self):
         shape = Shape3(3, 4, 5)
         signal = SignalTriple.random(shape, 2.0, RngSeed(1))
@@ -227,6 +265,49 @@ class TestDrawTrial:
         # A second spike on a spiked draw would count beta twice.
         with pytest.raises(ValueError, match="spike"):
             puncture(draw, 0.5, signal)
+
+
+def _mask_bytes(dims, epsilon, seed):
+    return sample_mask(Shape3(*dims), epsilon, RngSeed(seed)).bits.tobytes()
+
+
+class TestThreadPool:
+    def test_outputs_do_not_depend_on_worker_count(self, monkeypatch):
+        # 240 000 entries make four uniform chunks, the last short; 200
+        # mode-3 slabs make four Phi0 blocks, the last short. Workers write
+        # disjoint parts of shared arrays; with 3 workers and a short switch
+        # interval, a lost or misplaced write would change the bytes.
+        shape = Shape3(20, 40, 300)
+        signal = SignalTriple.random(shape, 2.0, RngSeed(1))
+        phi_shape = Shape3(6, 7, 200)
+        factors = [np.random.default_rng(n).standard_normal(n) for n in phi_shape.dims]
+        outputs = []
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for workers in (1, 3):
+                with ThreadPoolExecutor(workers) as pool:
+                    monkeypatch.setattr(tensor_core, "_pool", [pool])
+                    gen = RngSeed(3, 1).generator()
+                    draw = draw_trial(shape, signal, (0.2, 0.7), gen)
+                    phi = build_phi0_streamed(phi_shape, 0.4, *factors, RngSeed(3))
+                    outputs.append([
+                        sample_mask(shape, 0.3, RngSeed(2)).bits.tobytes(),
+                        draw.values.tobytes(), draw.rank.tobytes(),
+                        gen.standard_normal(5).tobytes(),
+                        phi.b12.tobytes(), phi.b13.tobytes(), phi.b23.tobytes(),
+                    ])
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
+
+    def test_forked_child_draws_the_same_mask(self):
+        # The parent's pool has run; a forked child has none of its worker
+        # threads and must build its own pool instead of waiting on them.
+        args = ((20, 40, 90), 0.4, 3)
+        want = _mask_bytes(*args)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_mask_bytes, args).get(timeout=60) == want
 
 
 class TestHadamard:
