@@ -71,9 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--eta", type=float)
     common.add_argument("--grid-points", type=int)
     common.add_argument("--tol", type=float)
-    common.add_argument("--max-iter", type=int)
+    common.add_argument("--max-iter", type=int,
+                        help="solver budget: each solve streams the tensor "
+                             "at most 2 MAX_ITER + 1 times")
     common.add_argument("--restarts", type=int,
-                        help="random-init restarts per trial (best sigma kept)")
+                        help="random-init restarts; the scan's top sigma is polished")
     common.add_argument("--scan-sweeps", type=int,
                         help="joint sweeps used to rank restarts")
 

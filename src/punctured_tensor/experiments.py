@@ -91,12 +91,12 @@ class ExperimentConfig:
                 raise TypeError(f"{f.name} must be {kind}, got {value!r}")
         if self.init not in ("random", "planted"):
             raise ValueError(f"init must be 'random' or 'planted', got {self.init!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+        for name in ("trials", "restarts", "max_iter", "scan_sweeps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("eta", "tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("beta_grid", "epsilon_grid"):
             if getattr(self, name) is not None and len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} needs at least one value")
@@ -165,11 +165,11 @@ def _solve(cfg, tm, inits, signal):
     """Solve the punctured tensor tm from the random starts inits, or from
     the planted signal when inits is None.
 
-    Random init with restarts > 1 approximates the global best rank-one fit:
-    several random starts are advanced jointly for a short scan and only the
-    one reaching the largest sigma is polished to tolerance. A single run can
-    settle in an uninformative basin even above the algorithmic threshold;
-    picking the max-sigma restart is what "best approximation" asks for.
+    Random init with restarts > 1 advances several random starts jointly
+    for a short scan and polishes to tolerance only the restart ranked
+    first by sigma after the scan. A single run can settle in an
+    uninformative basin even above the algorithmic threshold; another
+    restart may still polish to a higher sigma than the one ranked first.
     """
     factors = reference = None
     if inits is None:

@@ -1,21 +1,19 @@
-"""Alternating power iteration for the best rank-one fit of a masked tensor.
+"""Best rank-one fit of a masked tensor: one power sweep, then a certified
+shifted Newton finish.
 
-The solver cycles u, v, w updates; its fixed points satisfy the first-order
-system  tm(:, v, w) = sigma u,  tm(u, :, w) = sigma v,  tm(u, v, :) = sigma w
-with sigma = |tm(u, v, w)|. The update order is fixed as u, v, w: different
-orders can reach different (sign-equivalent) critical points from the same
-start. One sweep streams the tensor twice, for tm(:, :, w) and tm(u, :, :);
-the residual check reuses those two contractions instead of making its own.
-
-The sweeps converge linearly, at about lambda_bulk / sigma per sweep, which
-crawls below the recovery threshold. A solve whose first residual check is
-above tol finishes by shifted Newton steps: Phi(u, v, w) is the Jacobian of
-the first-order map, so a step solves (Phi - (sigma + mu) I) delta = -r and
-renormalizes each block. The shift mu keeps Phi - (sigma + mu) I negative
-definite on the tangent space of the three spheres, so steps climb from far
-out (Absil, Baker & Gallivan 2007; More & Sorensen 1983). A point is
-returned only once certified a local maximum: Phi < sigma on that tangent
-space (Lim 2005).
+The fit's critical points satisfy the first-order system
+tm(:, v, w) = sigma u,  tm(u, :, w) = sigma v,  tm(u, v, :) = sigma w
+with sigma = |tm(u, v, w)|. The sweep updates u, v, w in that fixed order
+(different orders can reach different sign-equivalent critical points from
+the same start); it normalizes the start and makes sigma > 0. Power sweeps
+alone converge linearly, at about lambda_bulk / sigma per sweep, which
+crawls below the recovery threshold, so every solve finishes by shifted
+Newton steps: Phi(u, v, w) is the Jacobian of the first-order map, so a
+step solves (Phi - (sigma + mu) I) delta = -r and renormalizes each block.
+The shift mu keeps Phi - (sigma + mu) I negative definite on the tangent
+space of the three spheres, so steps climb from far out (Absil, Baker &
+Gallivan 2007; More & Sorensen 1983). A point is returned only once
+certified a local maximum: Phi < sigma on that tangent space (Lim 2005).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ class CriticalPoint:
     v: np.ndarray
     w: np.ndarray
     residual: float = 0.0
-    iterations: int = 0  # power sweeps
+    iterations: int = 0  # power sweeps: 1 from solve_critical_point
     newton_steps: int = 0  # shifted Newton steps taken, kept or not
 
     def stacked(self) -> np.ndarray:
@@ -186,69 +184,51 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
 
 
 def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
-    """Run the cyclic power iteration on an (already masked) tensor, with a
-    shifted Newton finish from its first residual check above cfg.tol.
+    """One power sweep on an (already masked) tensor, then the shifted
+    Newton finish, which returns only a certified local maximum.
 
     Starts from cfg.factors when they are given (normalized; random starts
     are drawn by the caller) and otherwise from the planted cfg.reference.
     A reference also fixes the sign convention <x, u> >= 0 of the result.
 
-    Each sweep streams the tensor twice: tm(u, :, :), and tm(:, :, w) at the
-    new w, which the residual check and the next sweep share; k sweeps make
-    2k + 1 passes. The residual is checked once sigma moves by at most
-    10 cfg.tol sigma in a sweep, every 200 sweeps and at cfg.max_iter. The
-    first check ends the sweeps: at or below cfg.tol the point is returned,
-    and above it the solve hands over to the Newton finish. The finish steps
-    until it returns a certified point or has made the passes of the sweeps
-    left before cfg.max_iter, two per sweep; s steps, k of them kept, make
-    2s + k + 1 passes. iterations counts the power sweeps and newton_steps
-    the shifted steps, kept or not.
+    The sweep streams the tensor three times: tm(:, :, w), tm(u, :, :) and
+    tm(:, :, w) at the new w, which the residual and the finish share. A
+    point within cfg.tol there is returned once certified, without a step.
+    A solve makes at most 2 cfg.max_iter + 1 passes, as many as cfg.max_iter
+    power sweeps; s steps, k of them kept, make 2s + k + 1 of them after the
+    sweep's 3. iterations is 1 and newton_steps counts the steps, kept or not.
 
-    Raises ConvergenceError if the residual is still above cfg.tol after
-    cfg.max_iter sweeps' worth of passes (the residual is the first check's,
-    where the finish began) and DegeneratePointError when a start factor, a
-    contraction or a Newton step's block vanishes.
+    Raises ConvergenceError if no certified point within cfg.tol is found in
+    that budget (the residual is the sweep's) and DegeneratePointError when
+    a start factor, a contraction or a Newton step's block vanishes.
     """
     u, v, w = _initial_factors(tm, cfg)
 
-    # Slack for the monotone-objective assertion grows with the number of
-    # terms accumulated per contraction (floating-point summation noise).
+    # Slack for the finish's monotone-objective test grows with the number
+    # of terms accumulated per contraction (floating-point summation noise).
     mono_slack = 1e-13 + 1e-15 * np.sqrt(tm.values.size)
 
-    sigma_prev = -np.inf
-    newton_steps = 0
     M3 = contract_one(tm, 3, w)
-    for it in range(1, cfg.max_iter + 1):
-        u, _ = _normalize(M3 @ v, "contraction while updating u")
-        v, _ = _normalize(M3.T @ u, "contraction while updating v")
-        M1 = contract_one(tm, 1, u)
-        w, sigma = _normalize(M1.T @ v, "contraction while updating w")
-        M3 = contract_one(tm, 3, w)  # the residual's and the next sweep's
-
-        if sigma < sigma_prev - mono_slack * max(1.0, sigma):
-            raise ConvergenceError(
-                f"objective decreased at iteration {it}: {sigma_prev} -> {sigma}"
-            )
-        near_fixed = abs(sigma - sigma_prev) <= 10.0 * cfg.tol * max(1.0, sigma)
-        sigma_prev = sigma
-        if near_fixed or it == cfg.max_iter or it % 200 == 0:
-            residual = _residual_max(M3, M1, sigma, u, v, w)
-            if residual > cfg.tol:
-                point, newton_steps = _newton_finish(
-                    tm, (sigma, u, v, w, M3, M1, residual), cfg.tol,
-                    2 * (cfg.max_iter - it), mono_slack)
-                if point is None:
-                    break  # the finish made the passes left
-                sigma, u, v, w, _, _, residual = point
-            if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
-                u, v = -u, -v  # flipping a pair preserves the fixed point
-            return CriticalPoint(sigma, u, v, w, residual=residual,
-                                 iterations=it, newton_steps=newton_steps)
-
-    raise ConvergenceError(
-        f"no convergence after {cfg.max_iter} iterations (residual {residual:.3e})",
-        residual=residual,
-    )
+    u, _ = _normalize(M3 @ v, "contraction while updating u")
+    v, _ = _normalize(M3.T @ u, "contraction while updating v")
+    M1 = contract_one(tm, 1, u)
+    w, sigma = _normalize(M1.T @ v, "contraction while updating w")
+    M3 = contract_one(tm, 3, w)
+    residual = _residual_max(M3, M1, sigma, u, v, w)
+    point, newton_steps = _newton_finish(
+        tm, (sigma, u, v, w, M3, M1, residual), cfg.tol,
+        2 * (cfg.max_iter - 1), mono_slack)
+    if point is None:
+        raise ConvergenceError(
+            f"no certified point within {2 * cfg.max_iter + 1} tensor passes "
+            f"(max_iter {cfg.max_iter}; residual {residual:.3e})",
+            residual=residual,
+        )
+    sigma, u, v, w, _, _, residual = point
+    if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
+        u, v = -u, -v  # flipping a pair preserves the fixed point
+    return CriticalPoint(sigma, u, v, w, residual=residual, iterations=1,
+                         newton_steps=newton_steps)
 
 
 def _unit_columns(X: np.ndarray):

@@ -170,11 +170,10 @@ class TestRunSpikeCurve:
         assert row["n_failed"] == "0"
 
     def test_failed_trials_counted(self, tmp_path):
-        # At beta = 1 every trial stops at max_iter: the row must say so
-        # instead of looking like a theory-only row. At beta = 3 and 5 the
-        # scan's pick converges in 2 sweeps, the fewest a solve can take; at
-        # beta = 1 it needs more, and the Newton finish that starts at the
-        # residual check of sweep 2 (max_iter) has no passes left.
+        # At beta = 1 every trial runs out of passes: the row must say so
+        # instead of looking like a theory-only row. max_iter 5 leaves the
+        # Newton finish 8 of the solve's 11 passes: enough for the scan's
+        # pick to converge at beta = 3 and 5, too few at beta = 1.
         cfg = ExperimentConfig(
             shape=Shape3(10, 20, 70),
             epsilon=0.6,
@@ -182,7 +181,7 @@ class TestRunSpikeCurve:
             trials=4,
             init="random",
             restarts=3,
-            max_iter=2,
+            max_iter=5,
             empirical=True,
             out=tmp_path,
         )
@@ -202,7 +201,7 @@ class TestRunSpikeCurve:
 SWEEP_CONFIGS = {
     "random": dict(init="random", restarts=3, tol=1e-6),
     "planted": dict(init="planted", tol=1e-8),
-    "failed": dict(init="random", restarts=2, beta=2.0, max_iter=2),
+    "failed": dict(init="random", restarts=2, beta=2.0, max_iter=5),
 }
 
 
@@ -242,7 +241,7 @@ class TestTrialLoop:
             trials=4,
             init="random",
             restarts=3,
-            max_iter=2,
+            max_iter=5,
             empirical=True,
         )
         betas = (1.0, 3.0, 5.0)
@@ -597,17 +596,28 @@ class TestCli:
         assert "entries must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "derivative_check.csv").exists()
 
-    @pytest.mark.parametrize("flag", ["--trials", "--restarts"])
-    def test_rejects_zero_trials_and_restarts(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, message", [
+        pytest.param(flag, message, id=flag) for flag, message in (
+            ("--trials", "trials must be at least 1"),
+            ("--restarts", "restarts must be at least 1"),
+            ("--max-iter", "max_iter must be at least 1"),
+            ("--scan-sweeps", "scan_sweeps must be at least 1"),
+            ("--tol", "tol must be positive"),
+        )
+    ])
+    def test_rejects_zero_trials_and_restarts(self, tmp_path, capsys, flag, message):
+        # Solver settings are checked with the trial counts, before anything
+        # is drawn; the message names the field. --scan-sweeps is rejected
+        # even where one restart skips the scan.
         code = main(
             ["epsilon-sweep", "--shape", "6,6,6", "--epsilon-grid", "0.5",
              flag, "0", "--out", str(tmp_path)]
         )
         assert code == 1
-        assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "epsilon_sweep.csv").exists()
-        with pytest.raises(ValueError, match="must be at least 1"):
-            ExperimentConfig(**{flag[2:]: 0})
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**{flag[2:].replace("-", "_"): 0})
 
     def test_derivative_check_ratios(self, tmp_path, capsys):
         # --ratios with --n-total sets the shape, as in the other commands.

@@ -190,8 +190,9 @@ class TestSolverControls:
 
 
 def _old_polish(tm, cfg):
-    """Reference polish: the solver's sweeps and check gate, with every check
-    rebuilding both contractions from fresh contract_one calls.
+    """Reference polish: the power-sweep loop and residual-check gate that
+    the solver ran before its Newton finish, with every check rebuilding
+    both contractions from fresh contract_one calls.
 
     Returns (sigma, u, v, w, residual, iterations, sweep of the first
     residual check) or raises ConvergenceError.
@@ -232,19 +233,25 @@ def _random_start(shape, seed):
     return tuple(gen.standard_normal(n) for n in shape)
 
 
+def _sigma_gap(tm, a, b):
+    """|tm(u, v, w) at a's factors - the same at b's| for two points."""
+    return abs(contract_full(tm, *a[1:4]) - contract_full(tm, *b[1:4]))
+
+
 def _factor_gap(a, b):
     """Max-norm distance between the factors of two (sigma, u, v, w, ...) points."""
     return max(float(np.max(np.abs(x - y))) for x, y in zip(a[1:4], b[1:4]))
 
 
 class TestPolishReusesContractions:
-    """One sweep streams the tensor twice; the residual check adds no pass.
+    """One sweep streams the tensor three times; the residual adds no pass.
     A shifted Newton step streams it twice, and Phi at each point the
     Newton finish keeps, its start included, once more."""
 
     def _cases(self):
-        """(name, tensor, config, sweeps, Newton outcome): "finished" when
-        the Newton finish returns the point, None when it is not tried."""
+        """(name, tensor, config, Newton outcome): "certified" when the
+        finish returns the sweep's point without a step, "finished" when it
+        steps to its point."""
         sh = Shape3(15, 20, 25)
         fast, _, _, sig = _masked_instance(sh, 4.0, 0.8, 0)
         starts = [_random_start(sh.dims, r) for r in range(4)]
@@ -254,41 +261,40 @@ class TestPolishReusesContractions:
         weak, _, _, _ = _masked_instance(sh, 0.5, 0.8, 21)
         weak_start = _random_start(sh.dims, 21)
         return [
-            ("planted", fast, SolverConfig(tol=1e-10, reference=sig), None,
-             "finished"),
-            ("scanned", fast, SolverConfig(tol=1e-4, factors=scanned), 2, None),
-            ("slow", slow, SolverConfig(tol=1e-6, factors=slow_start), None,
-             "finished"),
-            ("crawl", weak, SolverConfig(tol=1e-6, factors=weak_start), None,
-             "finished"),
+            ("planted", fast, SolverConfig(tol=1e-10, reference=sig), "finished"),
+            ("scanned", fast, SolverConfig(tol=1e-4, factors=scanned), "certified"),
+            ("slow", slow, SolverConfig(tol=1e-6, factors=slow_start), "finished"),
+            ("crawl", weak, SolverConfig(tol=1e-6, factors=weak_start), "finished"),
         ]
 
     def test_bit_identical_to_old_loop(self):
-        # A solve whose Newton finish is not tried returns the old loop's
-        # point bit for bit. A Newton finish starts at the old loop's first
-        # residual check and returns a point no farther from the old loop's
-        # tol-1e-14 point than the old loop's own point at the same tol.
-        for name, tm, cfg, sweeps, newton in self._cases():
+        # Every solve hands over to the finish after one sweep, before the
+        # old loop's first residual check. A point the finish certifies
+        # without a step is the old loop's point after one sweep, bit for
+        # bit. A point it steps to is no farther from the old loop's
+        # tol-1e-14 point than the old loop's own point at the same tol;
+        # sigma is tm(u, v, w) at each point's factors, so the comparison
+        # does not mix the finish's formula with the sweep's norm.
+        for name, tm, cfg, newton in self._cases():
             cp = solve_critical_point(tm, cfg)
             old = _old_polish(tm, cfg)
             sigma, u, v, w, residual, iterations, first = old
-            assert (cp.newton_steps > 0) == (newton is not None), name
+            assert (cp.newton_steps > 0) == (newton == "finished"), name
+            assert cp.iterations == 1 < first <= iterations, name
             if newton == "finished":
                 ref = _old_polish(tm, replace(cfg, tol=1e-14, max_iter=100_000))
                 assert cp.residual <= cfg.tol, name
-                assert cp.iterations == first < iterations, name
-                assert abs(cp.sigma - ref[0]) <= abs(sigma - ref[0]), name
-                gap = _factor_gap((cp.sigma, cp.u, cp.v, cp.w), ref)
-                assert gap <= _factor_gap(old, ref), name
+                got = (cp.sigma, cp.u, cp.v, cp.w)
+                assert _sigma_gap(tm, got, ref) <= _sigma_gap(tm, old, ref), name
+                assert _factor_gap(got, ref) <= _factor_gap(old, ref), name
             else:
+                sigma, u, v, w, residual, _, _ = _old_polish(
+                    tm, replace(cfg, max_iter=1))
                 assert cp.sigma == sigma, name
                 assert np.array_equal(cp.u, u), name
                 assert np.array_equal(cp.v, v), name
                 assert np.array_equal(cp.w, w), name
                 assert cp.residual == residual, name
-                assert cp.iterations == iterations, name
-            if sweeps is not None:
-                assert cp.iterations == sweeps, name
             if name == "slow":
                 # The old loop goes past the it % 200 check, which did not return.
                 assert iterations > 200
@@ -298,7 +304,7 @@ class TestPolishReusesContractions:
         # 1e-6, and a single Newton try there is rejected. The shifted
         # finish keeps stepping and returns a certified local maximum in
         # under half the passes of those sweeps alone.
-        (_, tm, cfg, _, _), = (c for c in self._cases() if c[0] == "crawl")
+        (_, tm, cfg, _), = (c for c in self._cases() if c[0] == "crawl")
         old_sweeps = _old_polish(tm, cfg)[5]
         assert old_sweeps == 174
         calls = []
@@ -315,11 +321,10 @@ class TestPolishReusesContractions:
         assert _tangent_top(tm, cp) < cp.sigma
     @pytest.mark.parametrize("max_iter", [1, 250])
     def test_convergence_error_residual_unchanged(self, max_iter):
-        # tol 1e-18 is below the residual's rounding floor: the power sweeps
-        # cannot reach it and a Newton finish, tried at the first residual
-        # check, fails. Sigma never settles within 10 tol sigma, so that
-        # check is at sweep 200, or at max_iter if that comes first; the
-        # solve raises with the residual there.
+        # tol 1e-18 is below the residual's rounding floor: the Newton
+        # finish, which starts after the one sweep, cannot reach it and
+        # runs out of passes, whatever max_iter; the solve raises with the
+        # residual after that sweep.
         tm, _, _, _ = _masked_instance(Shape3(15, 20, 25), 2.0, 0.15, 2)
         cfg = SolverConfig(
             tol=1e-18, max_iter=max_iter, factors=_random_start((15, 20, 25), 2)
@@ -327,16 +332,18 @@ class TestPolishReusesContractions:
         with pytest.raises(ConvergenceError) as new:
             solve_critical_point(tm, cfg)
         with pytest.raises(ConvergenceError) as old:
-            _old_polish(tm, replace(cfg, max_iter=min(max_iter, 200)))
+            _old_polish(tm, replace(cfg, max_iter=1))
         assert new.value.residual == old.value.residual
+        assert f"{2 * max_iter + 1} tensor passes" in str(new.value)
 
     def test_finish_passes_count_against_max_iter(self, monkeypatch):
-        # The crawl's finish starts at sweep 27 and needs 33 steps. With
-        # max_iter 40 it has the passes of 13 sweeps, runs out, and the
-        # solve raises with the residual where the finish began, having
-        # streamed the tensor no more often than 40 sweeps do.
-        (_, tm, cfg, _, _), = (c for c in self._cases() if c[0] == "crawl")
-        assert solve_critical_point(tm, cfg).iterations == 27
+        # The crawl's finish starts after the sweep and needs 30 steps: 87
+        # passes in all. With max_iter 40 the solve has 2 * 40 + 1 = 81, the
+        # finish runs out, and the solve raises with the residual where the
+        # finish began, having streamed the tensor no more often than 40
+        # sweeps do; the finish stops only once a step and Phi at its point
+        # (3 passes) no longer fit.
+        (_, tm, cfg, _), = (c for c in self._cases() if c[0] == "crawl")
         calls = []
 
         def counted(*args, **kwargs):
@@ -344,18 +351,21 @@ class TestPolishReusesContractions:
             return contract_one(*args, **kwargs)
 
         monkeypatch.setattr(rank_one, "contract_one", counted)
+        assert solve_critical_point(tm, cfg).newton_steps == 30
+        assert len(calls) == 87
+        calls.clear()
         with pytest.raises(ConvergenceError) as new:
             solve_critical_point(tm, replace(cfg, max_iter=40))
-        assert 2 * 27 + 1 < len(calls) <= 2 * 40 + 1
+        assert 2 * 40 + 1 - 3 < len(calls) <= 2 * 40 + 1
         with pytest.raises(ConvergenceError) as old:
-            _old_polish(tm, replace(cfg, max_iter=27))
+            _old_polish(tm, replace(cfg, max_iter=1))
         assert new.value.residual == old.value.residual
-        # With max_iter 27 the first check comes at max_iter, where the
-        # finish has no passes left and makes none.
+        # With max_iter 1 the sweep uses the whole budget: the finish has
+        # no passes left and makes none.
         calls.clear()
         with pytest.raises(ConvergenceError):
-            solve_critical_point(tm, replace(cfg, max_iter=27))
-        assert len(calls) == 2 * 27 + 1
+            solve_critical_point(tm, replace(cfg, max_iter=1))
+        assert len(calls) == 2 * 1 + 1
 
     def test_tensor_passes(self, monkeypatch):
         calls = []
@@ -365,16 +375,17 @@ class TestPolishReusesContractions:
             return contract_one(*args, **kwargs)
 
         monkeypatch.setattr(rank_one, "contract_one", counted)
-        for name, tm, cfg, _, newton in self._cases():
+        for name, tm, cfg, _ in self._cases():
             calls.clear()
             cp = solve_critical_point(tm, cfg)
-            # The sweeps' modes 3, then 1 and 3 per sweep. A Newton finish
-            # then takes Phi's pass (mode 2) at its start and modes 3 and 1
-            # per step, and mode 2 again after each kept step; the last step
-            # is kept, and Phi at its point serves the certificate.
-            pattern = "3" + "13" * cp.iterations
-            if newton is not None:
-                pattern += "2(312?){%d}312" % (cp.newton_steps - 1)
+            # The sweep's modes 3, 1 and 3. The Newton finish then takes
+            # Phi's pass (mode 2) at its start, which serves the certificate
+            # of a point returned without a step, and modes 3 and 1 per
+            # step, and mode 2 again after each kept step; the last step is
+            # kept, and Phi at its point serves the certificate.
+            pattern = "3132"
+            if cp.newton_steps:
+                pattern += "(312?){%d}312" % (cp.newton_steps - 1)
             assert re.fullmatch(pattern, "".join(map(str, calls))), name
             calls.clear()
             first_order_residual(tm, cp)
@@ -507,10 +518,10 @@ class TestNewtonFinish:
     )
     @example(dims=(13, 20, 15), eps=0.2, beta=3.0, seed=20, planted=True)
     def test_returns_local_maxima(self, dims, eps, beta, seed, planted):
-        # Every point returned at tol 1e-12, by power sweeps or by a
-        # certified Newton finish, is a local maximum: Phi <= sigma on the
-        # tangent space (second-order condition). Random and planted starts,
-        # beta from 0 (pure noise) to well above the threshold.
+        # Every point returned at tol 1e-12 went through the certified Newton
+        # finish and is a local maximum: Phi <= sigma on the tangent space
+        # (second-order condition). Random and planted starts, beta from 0
+        # (pure noise) to well above the threshold.
         tm, _, _, sig = _masked_instance(Shape3(*dims), beta, eps, seed)
         start = None if planted else _random_start(dims, seed)
         cfg = SolverConfig(tol=1e-12, max_iter=100_000, factors=start, reference=sig)
@@ -519,6 +530,15 @@ class TestNewtonFinish:
         except (ConvergenceError, DegeneratePointError):
             return  # no point returned
         assert _tangent_top(tm, cp) <= cp.sigma * (1.0 + 1e-9)
+        # The solver's certificate holds at the returned point, and so does
+        # the upper side of the paper's bulk bound: every eigenvalue of Phi
+        # but the one nearest 2 sigma is at most sigma.
+        M3, M1 = contract_one(tm, 3, cp.w), contract_one(tm, 1, cp.u)
+        blocks = rank_one._phi_blocks(tm, cp.v, M3, M1)
+        assert rank_one._certified(blocks, cp.sigma, cp.sigma, cp.u, cp.v, cp.w)
+        vals = build_phi(tm, cp.u, cp.v, cp.w).eigenvalues
+        bulk = np.delete(vals, np.argmin(np.abs(vals - 2.0 * cp.sigma)))
+        assert np.max(bulk) <= cp.sigma * (1.0 + 1e-9)
 
 
 def _scan64(tm, starts, sweeps):
