@@ -9,6 +9,7 @@ to a perturbation of a single noise entry.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +21,6 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
-    _parallel_map,
     check_epsilon,
     check_factors,
     contract_one,
@@ -177,6 +177,30 @@ def build_phi(tm: Tensor3, u, v, w) -> PhiMatrix:
     u, v, w = check_factors(tm.shape, (u, v, w))
     return _frozen_phi(
         contract_one(tm, 3, w), contract_one(tm, 2, v), contract_one(tm, 1, u))
+
+
+# The thread pool, built on first use. A forked child has none of its
+# threads, so it drops the pool and builds its own.
+_pool = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=lambda: _pool.clear())
+
+
+def _parallel_map(fn, items):
+    """An iterator of fn over items, in order, run on the thread pool (one
+    worker per usable CPU); a single item runs on the caller's thread. Only
+    build_phi0_streamed uses it, for its blocks of slabs. fn must call no
+    public function of the package: benchmark/tracing.py wraps those with
+    one span stack for all threads."""
+    items = list(items)
+    if len(items) <= 1:
+        return map(fn, items)
+    if not _pool:
+        from concurrent.futures import ThreadPoolExecutor
+
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        _pool.append(ThreadPoolExecutor(len(cpus) if cpus else os.cpu_count()))
+    return _pool[0].map(fn, items)
 
 
 def build_phi0_streamed(

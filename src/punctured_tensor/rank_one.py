@@ -155,17 +155,20 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
     at most doubles; mu then falls to mu / 4, or to 0 below 1e-6 sigma. A
     kept point with residual at most tol is returned once certified (s =
     sigma). A step makes two passes and a kept point, as the start, one
-    more. Returns (point, steps taken); point is None if the passes run out.
+    more; a step is taken only with room for Phi at its point. Returns
+    (point, steps taken); point is None if the passes run out.
     """
-    if passes < 4:
-        return None, 0  # too few for Phi, one step and Phi at its point
+    if passes < 1:
+        return None, 0  # no pass for Phi, which the certificate needs
     sigma, u, v, w, M3, M1, residual = point
     blocks, used, steps, mu = _phi_blocks(tm, v, M3, M1), 1, 0, 0.0
-    while used + 3 <= passes:  # a step, and Phi if it is kept
+    while True:
         if residual <= tol:
             if _certified(blocks, sigma, sigma, u, v, w):
                 return (sigma, u, v, w, M3, M1, residual), steps
             mu = mu or 1e-3 * sigma  # the certificate refused mu = 0
+        if used + 3 > passes:
+            return None, steps  # no room for a step and Phi at its point
         if _certified(blocks, sigma, sigma + mu, u, v, w):
             x = _newton_step(blocks, M1, sigma, sigma + mu, u, v, w)
             u1, v1, w1 = (_normalize(f, "Newton step")[0] for f in x)
@@ -180,7 +183,6 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
                 mu = mu / 4.0 if mu >= 4e-6 * sigma else 0.0
                 continue
         mu = max(4.0 * mu, 1e-3 * sigma)  # a refused shift or a rejected step
-    return None, steps
 
 
 def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:

@@ -7,13 +7,11 @@ A Monte Carlo trial is drawn once for a whole grid of mask levels:
 draw_trial draws the noise and one uniform U per entry, and puncture then
 keeps the entries with U < epsilon at any epsilon of the grid. The grid
 values share the draw, so they are coupled: a higher epsilon keeps a
-superset of the entries a lower one keeps. Masks are drawn on a thread
-pool, bit-identical whatever its number of workers.
+superset of the entries a lower one keeps.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,29 +199,6 @@ def _scale_and_spike(g: np.ndarray, signal: SignalTriple) -> np.ndarray:
     return g
 
 
-# The thread pool, built on first use. A forked child has none of its
-# threads, so it drops the pool and builds its own.
-_pool = []
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: _pool.clear())
-
-
-def _parallel_map(fn, items):
-    """An iterator of fn over items, in order, run on the thread pool (one
-    worker per usable CPU); a single item runs on the caller's thread. fn
-    must call no public function of the package: benchmark/tracing.py wraps
-    those with one span stack for all threads."""
-    items = list(items)
-    if len(items) <= 1:
-        return map(fn, items)
-    if not _pool:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        _pool.append(ThreadPoolExecutor(len(cpus) if cpus else os.cpu_count()))
-    return _pool[0].map(fn, items)
-
-
 def _frozen(values: np.ndarray) -> Tensor3:
     """Tensor3 of a buffer the caller owns and hands over, without a copy."""
     values.flags.writeable = False
@@ -248,36 +223,18 @@ def sample_mask(shape: Shape3, epsilon: float, rng: RngSeed) -> MaskTensor:
     return MaskTensor(bits, epsilon)
 
 
-# Uniforms are drawn in chunks of this many entries, on the thread pool, so
-# that no float64 copy of U is held. Larger chunks cost memory, not time.
+# Uniforms are drawn in chunks of this many entries, so that no float64
+# copy of U is held.
 _RANK_CHUNK = 1 << 16
 
 
 def _each_uniform_chunk(gen: np.random.Generator, size: int, fn) -> None:
     """fn(start, U[start : start + _RANK_CHUNK]) for the next size uniforms U
-    of gen, a PCG64 generator, chunk by chunk on the thread pool.
-
-    random() takes one 64-bit output per double, so each chunk draws from
-    gen's state, copied before any chunk draws and advanced to the chunk's
-    offset. gen then ends exactly where one draw of all of U leaves it. A
-    single chunk is drawn straight from gen.
-    """
-    if size <= _RANK_CHUNK:
-        fn(0, gen.random(size))
-        return
-    state = gen.bit_generator.state
-
-    def chunk(start):
-        bg = np.random.PCG64()
-        bg.state = state
-        u = np.random.Generator(bg.advance(start)).random(min(_RANK_CHUNK, size - start))
-        fn(start, u)
-
-    for _ in _parallel_map(chunk, range(0, size, _RANK_CHUNK)):
-        pass
-    # advance() drops a buffered 32-bit output, which one whole draw keeps.
-    gen.bit_generator.state = {**gen.bit_generator.advance(size).state, **{
-        key: state[key] for key in ("has_uint32", "uinteger")}}
+    of gen, chunk by chunk. Consecutive draws continue one stream, so the
+    chunks are one whole draw of U, bit for bit, and gen ends where that
+    draw leaves it, a buffered 32-bit output included."""
+    for start in range(0, size, _RANK_CHUNK):
+        fn(start, gen.random(min(_RANK_CHUNK, size - start)))
 
 
 @dataclass(frozen=True)
@@ -304,8 +261,7 @@ def draw_trial(
 
     When gen is rng.generator(), puncture(draw, epsilon) equals, bit for
     bit, generate_spiked(shape, signal, rng), which draws the same G,
-    punctured by the mask U < epsilon. U is drawn and ranked in chunks on
-    the thread pool, so gen must run on PCG64, as rng.generator() does. The
+    punctured by the mask U < epsilon. U is drawn and ranked in chunks. The
     caller goes on drawing from gen (a trial's random starts), which is then
     where one draw of all of G and of all of U would leave it. Ranking U
     costs one comparison per entry and grid level.

@@ -171,8 +171,8 @@ class TestRunSpikeCurve:
 
     def test_failed_trials_counted(self, tmp_path):
         # At beta = 1 every trial runs out of passes: the row must say so
-        # instead of looking like a theory-only row. max_iter 5 leaves the
-        # Newton finish 8 of the solve's 11 passes: enough for the scan's
+        # instead of looking like a theory-only row. max_iter 4 leaves the
+        # Newton finish 6 of the solve's 9 passes: enough for the scan's
         # pick to converge at beta = 3 and 5, too few at beta = 1.
         cfg = ExperimentConfig(
             shape=Shape3(10, 20, 70),
@@ -181,7 +181,7 @@ class TestRunSpikeCurve:
             trials=4,
             init="random",
             restarts=3,
-            max_iter=5,
+            max_iter=4,
             empirical=True,
             out=tmp_path,
         )
@@ -201,7 +201,7 @@ class TestRunSpikeCurve:
 SWEEP_CONFIGS = {
     "random": dict(init="random", restarts=3, tol=1e-6),
     "planted": dict(init="planted", tol=1e-8),
-    "failed": dict(init="random", restarts=2, beta=2.0, max_iter=5),
+    "failed": dict(init="random", restarts=2, beta=2.0, max_iter=4),
 }
 
 
@@ -241,7 +241,7 @@ class TestTrialLoop:
             trials=4,
             init="random",
             restarts=3,
-            max_iter=5,
+            max_iter=4,
             empirical=True,
         )
         betas = (1.0, 3.0, 5.0)

@@ -140,6 +140,21 @@ class TestSolverControls:
         assert cp.iterations <= 3
         assert abs(cp.sigma - base.sigma) < 1e-11
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_start_is_certified_within_five_passes(self, seed):
+        # A start at a converged point is within tol after the sweep's 3
+        # passes and needs only Phi's one more for the certificate: max_iter
+        # 2 (5 passes) returns it without a step, max_iter 1 (3 passes)
+        # leaves no pass for Phi and raises.
+        tm, _, _, sig = _masked_instance(Shape3(10, 20, 70), 5.0, 0.6, seed)
+        base = solve_critical_point(tm, SolverConfig(reference=sig))
+        warm = SolverConfig(factors=(base.u, base.v, base.w))
+        cp = solve_critical_point(tm, replace(warm, max_iter=2))
+        assert cp.newton_steps == 0
+        assert abs(cp.sigma - base.sigma) < 1e-12
+        with pytest.raises(ConvergenceError, match="3 tensor passes"):
+            solve_critical_point(tm, replace(warm, max_iter=1))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(tol=0.0)
@@ -360,6 +375,11 @@ class TestPolishReusesContractions:
         with pytest.raises(ConvergenceError) as old:
             _old_polish(tm, replace(cfg, max_iter=1))
         assert new.value.residual == old.value.residual
+        # The last step's point is certified with no pass to spare: max_iter
+        # 43 (87 passes) returns it after the same 30 steps, 42 raises.
+        assert solve_critical_point(tm, replace(cfg, max_iter=43)).newton_steps == 30
+        with pytest.raises(ConvergenceError):
+            solve_critical_point(tm, replace(cfg, max_iter=42))
         # With max_iter 1 the sweep uses the whole budget: the finish has
         # no passes left and makes none.
         calls.clear()

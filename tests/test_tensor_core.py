@@ -21,7 +21,8 @@ from punctured_tensor import (
     puncture,
     sample_mask,
 )
-from punctured_tensor import tensor_core
+from punctured_tensor import phi_spectrum
+from punctured_tensor.experiments import ExperimentConfig, run_epsilon_sweep
 from punctured_tensor.tensor_core import DimensionMismatchError, _contract
 
 from conftest import triple_loop_full, triple_loop_mode, triple_loop_one
@@ -198,16 +199,18 @@ class TestDrawTrial:
             got = puncture(draw0, eps, signal)
             assert got.values.tobytes() == want.values.tobytes()
 
-    def test_generator_keeps_a_buffered_32_bit_output(self):
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+    def test_generator_keeps_a_buffered_32_bit_output(self, bit_generator):
         # One whole draw of U leaves a buffered 32-bit output in place; the
-        # chunked draw must leave gen in exactly that state too.
+        # chunked draw must leave gen in exactly that state too, whatever
+        # bit generator gen runs on.
         signal = SignalTriple.random(self.shape, 2.0, RngSeed(1))
-        gen, ref = RngSeed(5, 1).generator(), RngSeed(5, 1).generator()
+        gen, ref = (np.random.Generator(bit_generator(5)) for _ in range(2))
         for g in (gen, ref):
             g.integers(2**32, dtype=np.uint32)
         draw_trial(self.shape, signal, (0.5,), gen)
         _whole_draws(self.shape, ref)
-        assert gen.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
         assert gen.bit_generator.state["has_uint32"] == 1
 
     def test_uniform_equal_to_a_level_is_dropped(self):
@@ -267,47 +270,61 @@ class TestDrawTrial:
             puncture(draw, 0.5, signal)
 
 
-def _mask_bytes(dims, epsilon, seed):
-    return sample_mask(Shape3(*dims), epsilon, RngSeed(seed)).bits.tobytes()
+def _phi0_bytes(dims, epsilon, seed):
+    shape = Shape3(*dims)
+    factors = [np.random.default_rng(n).standard_normal(n) for n in shape.dims]
+    phi = build_phi0_streamed(shape, epsilon, *factors, RngSeed(seed))
+    return phi.b12.tobytes() + phi.b13.tobytes() + phi.b23.tobytes()
 
 
 class TestThreadPool:
     def test_outputs_do_not_depend_on_worker_count(self, monkeypatch):
-        # 240 000 entries make four uniform chunks, the last short; 200
-        # mode-3 slabs make four Phi0 blocks, the last short. Workers write
-        # disjoint parts of shared arrays; with 3 workers and a short switch
-        # interval, a lost or misplaced write would change the bytes.
+        # 200 mode-3 slabs make four Phi0 blocks, the last short, which run
+        # on the pool. Workers write disjoint parts of shared arrays; with 3
+        # workers and a short switch interval, a lost or misplaced write
+        # would change the bytes. The 240 000 uniforms of the mask and the
+        # trial draw make four chunks, drawn on the caller's thread, and
+        # must not change either.
         shape = Shape3(20, 40, 300)
         signal = SignalTriple.random(shape, 2.0, RngSeed(1))
-        phi_shape = Shape3(6, 7, 200)
-        factors = [np.random.default_rng(n).standard_normal(n) for n in phi_shape.dims]
         outputs = []
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
             for workers in (1, 3):
                 with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(tensor_core, "_pool", [pool])
+                    monkeypatch.setattr(phi_spectrum, "_pool", [pool])
                     gen = RngSeed(3, 1).generator()
                     draw = draw_trial(shape, signal, (0.2, 0.7), gen)
-                    phi = build_phi0_streamed(phi_shape, 0.4, *factors, RngSeed(3))
                     outputs.append([
                         sample_mask(shape, 0.3, RngSeed(2)).bits.tobytes(),
                         draw.values.tobytes(), draw.rank.tobytes(),
                         gen.standard_normal(5).tobytes(),
-                        phi.b12.tobytes(), phi.b13.tobytes(), phi.b23.tobytes(),
+                        _phi0_bytes((6, 7, 200), 0.4, 3),
                     ])
         finally:
             sys.setswitchinterval(interval)
         assert outputs[0] == outputs[1]
 
-    def test_forked_child_draws_the_same_mask(self):
-        # The parent's pool has run; a forked child has none of its worker
-        # threads and must build its own pool instead of waiting on them.
-        args = ((20, 40, 90), 0.4, 3)
-        want = _mask_bytes(*args)
+    def test_forked_child_builds_the_same_phi0(self):
+        # The parent's pool has run Phi0's four blocks of slabs; a forked
+        # child has none of its worker threads and must build its own pool
+        # instead of waiting on them.
+        args = ((6, 7, 200), 0.4, 3)
+        want = _phi0_bytes(*args)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            assert pool.apply_async(_mask_bytes, args).get(timeout=60) == want
+            assert pool.apply_async(_phi0_bytes, args).get(timeout=60) == want
+
+    def test_trial_path_never_starts_the_pool(self, monkeypatch, tmp_path):
+        # 84 000 entries draw their uniforms in two chunks; a sweep's trial
+        # leaves the pool unbuilt. Phi0 of four blocks then builds it.
+        monkeypatch.setattr(phi_spectrum, "_pool", [])
+        run_epsilon_sweep(ExperimentConfig(
+            shape=Shape3(30, 40, 70), epsilon_grid=(0.6,), trials=1, out=tmp_path))
+        assert phi_spectrum._pool == []
+        _phi0_bytes((6, 7, 200), 0.4, 3)
+        assert len(phi_spectrum._pool) == 1
+        phi_spectrum._pool[0].shutdown()
 
 
 class TestHadamard:
