@@ -35,6 +35,7 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    _spend_levels,
     _spike,
     contract_full,
     contract_one,
@@ -189,22 +190,27 @@ def _trial(cfg, shape, drawn, points, trial):
     grid point (signal, epsilon).
 
     Returns, per point, the row (trial, sigma, q1, q2, q3), or None when the
-    solve failed. A point whose signal is not `drawn` (a beta of the spike
-    curve; `drawn` then has beta 0) adds its own spike to the draw. Each
-    punctured tensor dies with its solve, and the draw when this returns,
-    before the next trial draws.
+    solve failed. When every point has signal `drawn` (an epsilon sweep),
+    the draw is punctured in place from the largest epsilon down, so the
+    trial holds one float64 tensor; each epsilon is solved once and its row
+    serves every point at that epsilon. Otherwise (the betas of the spike
+    curve; `drawn` then has beta 0) each point adds its own spike to a
+    fresh punctured copy, which dies with its solve. The draw dies when
+    this returns, before the next trial draws.
     """
     draw, inits = _draw(cfg, shape, drawn, [eps for _, eps in points], trial)
-    rows = []
-    for signal, eps in points:
-        respike = None if signal is drawn else signal
+
+    def row(tm, signal):
         try:
-            cp = _solve(cfg, puncture(draw, eps, respike), inits, signal)
+            cp = _solve(cfg, tm, inits, signal)
         except (ConvergenceError, DegeneratePointError):
-            rows.append(None)
-            continue
-        rows.append((trial, cp.sigma) + alignments(cp, signal))
-    return rows
+            return None
+        return (trial, cp.sigma) + alignments(cp, signal)
+
+    if all(signal is drawn for signal, _ in points):
+        by_eps = {eps: row(tm, drawn) for eps, tm in _spend_levels(draw)}
+        return [by_eps[eps] for _, eps in points]
+    return [row(puncture(draw, eps, signal), signal) for signal, eps in points]
 
 
 def _trials(cfg, shape, drawn, points):
@@ -260,13 +266,15 @@ def _emp_cells(rows, empty):
 
 def run_esd(cfg: ExperimentConfig) -> dict:
     """Generate one instance, solve it, and write spectrum, histogram and
-    theory-density CSVs for overlay plots."""
+    theory-density CSVs for overlay plots.
+
+    The instance is trial 0's draw at cfg.epsilon, punctured in place, so
+    the solve and Phi share the one float64 tensor of the run."""
     out = Path(cfg.out or ".")
     shape = cfg.resolve_shape()
     signal = _signal(cfg, shape)
     draw, inits = _draw(cfg, shape, signal, (cfg.epsilon,), 0)
-    tm = puncture(draw, cfg.epsilon)
-    del draw  # the unpunctured tensor is not needed for Phi
+    [(_, tm)] = _spend_levels(draw)
     cp = _solve(cfg, tm, inits, signal)
     phi = phi_spectrum.build_phi(tm, cp.u, cp.v, cp.w)
     spec = phi_spectrum.eigen_spectrum(phi)

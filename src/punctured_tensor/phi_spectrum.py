@@ -98,6 +98,19 @@ class PhiMatrix:
         ])
 
     @cached_property
+    def _largest_split(self):
+        """(L, A, C, C C^T), read-only, for L the largest mode (the first of
+        equal ones) and (A, C) = split(L): what every resolvent_solve
+        eliminates. The eigensolve splits on its own, so a Phi that is only
+        eigensolved (Phi0) keeps no second copy of its blocks."""
+        L = int(np.argmax(self.shape.dims)) + 1
+        A, C = self.split(L)
+        G = C @ C.T
+        for arr in (A, C, G):
+            arr.flags.writeable = False
+        return L, A, C, G
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending and read-only: the one eigensolve that
         the spectrum, the structural checks and the resolvent share.
@@ -329,8 +342,9 @@ def spike_decomposition_residual(
 
 def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
     """Solve (Phi - sigma I) q = rhs with Phi's largest zero diagonal block
-    eliminated (_solve_zero_block on split of the largest mode), as the
-    Newton step eliminates the w block.
+    eliminated (_solve_zero_block on the split of the largest mode, which
+    Phi caches with C C^T for every call), as the Newton step eliminates
+    the w block.
 
     Refuses when sigma sits within GAP_TOL of an eigenvalue of Phi's
     cached spectrum, or of 0, by which the elimination divides.
@@ -343,11 +357,11 @@ def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue or of 0"
         )
-    L = int(np.argmax(phi.shape.dims)) + 1
+    L, A, C, G = phi._largest_split
     lo = np.cumsum((0,) + phi.shape.dims)
     rest, big = np.r_[0 : lo[L - 1], lo[L] : lo[3]], slice(lo[L - 1], lo[L])
-    (A, C), q = phi.split(L), np.empty_like(rhs)
-    q[rest], q[big] = _solve_zero_block(A, C, C @ C.T, sigma, rhs[rest], rhs[big])
+    q = np.empty_like(rhs)
+    q[rest], q[big] = _solve_zero_block(A, C, G, sigma, rhs[rest], rhs[big])
     return q
 
 

@@ -27,6 +27,7 @@ from .tensor_core import (
     DimensionMismatchError,
     SignalTriple,
     Tensor3,
+    _all_finite,
     _contract,
     check_factors,
     contract_full,
@@ -271,7 +272,7 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
     with np.errstate(over="ignore"):
         A32 = tm.values.astype(np.float32)
-    if not np.all(np.isfinite(A32)):
+    if not _all_finite(A32):
         raise ValueError(
             "tensor entries must be finite in float32: the float32 copy overflowed"
         )

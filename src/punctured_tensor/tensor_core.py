@@ -7,7 +7,9 @@ A Monte Carlo trial is drawn once for a whole grid of mask levels:
 draw_trial draws the noise and one uniform U per entry, and puncture then
 keeps the entries with U < epsilon at any epsilon of the grid. The grid
 values share the draw, so they are coupled: a higher epsilon keeps a
-superset of the entries a lower one keeps.
+superset of the entries a lower one keeps. The trial loop uses that
+nesting to puncture the draw in place, from the largest epsilon down, so
+one float64 tensor serves the whole grid.
 """
 
 from __future__ import annotations
@@ -67,6 +69,19 @@ class RngSeed:
         return np.random.default_rng(ss)
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of arr is finite, without a full-size temporary.
+
+    A sum with a NaN or an infinite term is not finite, so a finite sum
+    settles it; only a sum that is not (such terms, or an overflow of finite
+    ones) falls back to the entrywise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(arr.sum()):
+            return True
+    return bool(np.all(np.isfinite(arr)))
+
+
 class Tensor3:
     """Immutable dense order-3 real tensor; every input is cast to float64."""
 
@@ -80,7 +95,7 @@ class Tensor3:
             arr = arr.copy()
         if arr.ndim != 3:
             raise DimensionMismatchError(f"expected a 3-way array, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("tensor entries must be finite")
         arr.flags.writeable = False
         self.values = arr
@@ -189,13 +204,17 @@ def _spike(signal: SignalTriple, rows: slice = slice(None)) -> np.ndarray | None
 
 def _scale_and_spike(g: np.ndarray, signal: SignalTriple) -> np.ndarray:
     """Turn standard normals g into g / sqrt(N) + beta * x (x) y (x) z in place,
-    adding the spike in blocks of mode-1 slabs of about _RANK_CHUNK entries
-    (rounded as the whole spike), so no full-size temporary is built."""
-    g /= np.sqrt(sum(g.shape))
-    if signal.beta != 0.0:
-        rows = max(1, _RANK_CHUNK // g[0].size)
-        for i in range(0, g.shape[0], rows):
-            g[i : i + rows] += _spike(signal, slice(i, i + rows))
+    in one pass over blocks of mode-1 slabs of about _RANK_CHUNK entries:
+    each block is scaled, then gets its part of the spike (rounded as the
+    whole spike), so no full-size temporary is built."""
+    scale = np.sqrt(sum(g.shape))
+    rows = max(1, _RANK_CHUNK // g[0].size)
+    for i in range(0, g.shape[0], rows):
+        block = g[i : i + rows]
+        block /= scale
+        spike = _spike(signal, slice(i, i + rows))
+        if spike is not None:
+            block += spike
     return g
 
 
@@ -242,7 +261,8 @@ class TrialDraw:
     """One trial's random draws, shared by every mask level of a grid.
 
     values is G / sqrt(N) + beta * x (x) y (x) z (beta of the signal it was
-    drawn with), float64 and read-only. grid holds the distinct levels,
+    drawn with), float64 and read-only until _spend_levels punctures it in
+    place, level by level. grid holds the distinct levels,
     ascending. rank[i, j, k] is the number of levels <= U[i, j, k], for the
     entry's uniform U, so U < grid[g] exactly when rank <= g. rank is uint8
     up to 255 levels and a wider unsigned type beyond.
@@ -313,6 +333,23 @@ def puncture(
     spike += draw.values
     spike *= keep
     return _frozen(spike)
+
+
+def _spend_levels(draw: TrialDraw):
+    """Yield (epsilon, puncture(draw, epsilon)) for every level of draw's
+    grid, the largest first, each punctured in draw.values itself.
+
+    The masks are nested (U < grid[g] exactly when rank <= g), so a level
+    multiplies the level above by its own mask; x * 1 * 0 and x * 0 * 0
+    keep the sign of x * 0, so every level equals puncture's bit for bit.
+    This spends the draw: a level's tensor is valid only until the next
+    level is taken, and puncture must not be called on the draw again.
+    """
+    values = draw.values
+    for g in reversed(range(len(draw.grid))):
+        values.flags.writeable = True
+        np.multiply(values, draw.rank <= g, out=values)
+        yield draw.grid[g], _frozen(values)
 
 
 def hadamard(t: Tensor3, m: MaskTensor) -> Tensor3:

@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,7 +24,12 @@ from punctured_tensor import (
 )
 from punctured_tensor import phi_spectrum
 from punctured_tensor.experiments import ExperimentConfig, run_epsilon_sweep
-from punctured_tensor.tensor_core import DimensionMismatchError, _contract
+from punctured_tensor.tensor_core import (
+    DimensionMismatchError,
+    _all_finite,
+    _contract,
+    _spend_levels,
+)
 
 from conftest import triple_loop_full, triple_loop_mode, triple_loop_one
 
@@ -132,6 +138,41 @@ class TestSampleMask:
 
 
 class TestTensor3:
+    @pytest.mark.parametrize(
+        "bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+        ids=["nan", "inf", "-inf", "inf and -inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        vals = np.zeros((2, 3, 4))
+        vals.flat[[5, 17][: len(bad)]] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                Tensor3(vals)
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        # The finiteness check sums the entries first; a sum that overflows
+        # must fall back to the entrywise test, and warn nothing.
+        vals = np.zeros((2, 3, 4))
+        vals.flat[[3, 11]] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = Tensor3(vals)
+        assert np.array_equal(t.values, vals)
+
+    def test_finiteness_check_is_exact_in_float32(self):
+        # scan_restarts checks its float32 copy by the same sum. A copy whose
+        # finite entries sum past float32's range would overflow the scan's
+        # own norms, so the check is tested directly.
+        vals = np.zeros((3, 4, 5), dtype=np.float32)
+        vals.flat[[2, 9]] = np.finfo(np.float32).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _all_finite(vals)
+            for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+                worse = vals.copy()
+                worse.flat[[30, 41][: len(bad)]] = bad
+                assert not _all_finite(worse)
+
     def test_writable_input_stays_the_callers(self):
         vals = np.zeros((2, 3, 4))
         t = Tensor3(vals)
@@ -212,6 +253,26 @@ class TestDrawTrial:
         _whole_draws(self.shape, ref)
         np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
         assert gen.bit_generator.state["has_uint32"] == 1
+
+    def test_spent_levels_equal_puncture(self):
+        # The levels are taken in place from the largest epsilon down, on an
+        # unsorted grid with a repeated value; each must equal puncture of
+        # an unspent draw bit for bit, the sign of every zero included.
+        signal = SignalTriple.random(self.shape, 2.0, RngSeed(1))
+        grid = (0.6, 0.1, 1.0, 0.6, 0.35)
+        draw, ref = (draw_trial(self.shape, signal, grid, RngSeed(7).generator())
+                     for _ in range(2))
+        taken = []
+        for eps, t in _spend_levels(draw):
+            want = puncture(ref, eps).values
+            assert t.values is draw.values  # no second float64 tensor
+            assert not t.values.flags.writeable
+            assert t.values.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(t.values), np.signbit(want))
+            if eps < 1.0:
+                assert np.any((want == 0.0) & np.signbit(want))
+            taken.append(eps)
+        assert taken == [1.0, 0.6, 0.35, 0.1]
 
     def test_uniform_equal_to_a_level_is_dropped(self):
         shape = Shape3(3, 4, 5)
