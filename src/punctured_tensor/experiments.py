@@ -35,8 +35,8 @@ from .tensor_core import (
     Shape3,
     SignalTriple,
     Tensor3,
+    _frozen,
     _spend_levels,
-    _spike,
     contract_full,
     contract_one,
     draw_trial,
@@ -438,7 +438,6 @@ def derivative_check_rows(
     noise = RngSeed(seed, 0).generator().standard_normal(shape.dims)
     mask = sample_mask(shape, epsilon, RngSeed(seed, 2))
     tm0 = hadamard(generate_spiked(shape, signal, RngSeed(seed, 0)), mask)
-    spike = _spike(signal)
     scfg = SolverConfig(tol=1e-14, max_iter=200_000, reference=signal)
     cp0 = solve_critical_point(tm0, scfg)
     phi = phi_spectrum.build_phi(tm0, cp0.u, cp0.v, cp0.w)
@@ -447,9 +446,11 @@ def derivative_check_rows(
     def solve_moved(entry, g):
         values = tm0.values.copy()
         values[entry] = g / np.sqrt(shape.N)
-        if spike is not None:
-            values[entry] += spike[entry]
-        return solve_critical_point(Tensor3(values), scfg).stacked()
+        if signal.beta != 0.0:
+            # The spike's entry, rounded as tensor_core._spike rounds it.
+            i, j, k = entry
+            values[entry] += signal.x[i] * signal.y[j] * signal.z[k] * signal.beta
+        return solve_critical_point(_frozen(values), scfg).stacked()
 
     entry_gen = RngSeed(seed, 3).generator()
     rows = []

@@ -30,7 +30,7 @@ This gives the closed-form thresholds
     beta_s = A_edge / (eps * q1 * q2 * q3(A_edge)),
     eps_s = (beta_s(eps = 1) / beta)^2   (dilation law),
 
-and one bracketed bisection in A for the spike itself.
+and bracketed Newton steps in A for the edge, the branch and the spike.
 """
 
 from __future__ import annotations
@@ -175,14 +175,20 @@ def _newton(z, c, eps, m):
     return StieltjesSolution(z, *m, residual)
 
 
+# Im z shrinks by this factor per stage of a cold start.
+_COLD_SHRINK = 1.0 / 16.0
+
+
 def solve_stieltjes(z: complex, p: ModelParams, init=None) -> StieltjesSolution:
     """Solve the coupled fixed point at a complex point z (Im z != 0).
 
     Newton starts from `init`, a nearby solution's (m1, m2, m3). Without
     `init`, or when Newton fails from it, a continuation in Im z runs
     instead: start from -c/z' at Im z' = +-max(1, |Im z|), where that start
-    is close, and halve Im z' down to Im z with one Newton solve per stage.
-    FixedPointError is raised when a stage fails.
+    is close, and shrink Im z' 16-fold (_COLD_SHRINK) per stage down to Im z
+    with one Newton solve per stage. After a failed stage it halves Im z'
+    from the last solved stage; FixedPointError is raised when the first
+    stage or a halving stage fails.
     """
     z = complex(z)
     if z.imag == 0.0:
@@ -194,15 +200,19 @@ def solve_stieltjes(z: complex, p: ModelParams, init=None) -> StieltjesSolution:
         return sol
     eta = math.copysign(max(1.0, abs(z.imag)), z.imag)
     m = tuple(-cl / complex(z.real, eta) for cl in c)
+    shrink, solved = _COLD_SHRINK, None
     while True:
         stage = complex(z.real, eta) if abs(eta) > 1.999 * abs(z.imag) else z
         sol = _newton(stage, c, eps, m)
-        if sol is None:
+        if sol is not None:
+            if stage == z:
+                return sol
+            m, solved = sol.values, eta
+        elif solved is None or shrink == 0.5:
             raise FixedPointError(f"no Newton convergence at z={stage}")
-        if stage == z:
-            return sol
-        m = sol.values
-        eta *= 0.5
+        else:
+            shrink = 0.5
+        eta = solved * shrink
 
 
 # --- Real-axis branch -------------------------------------------------------
@@ -238,6 +248,40 @@ def _bisect(f, lo, hi):
             hi = mid
 
 
+def _newton_root(f, lo, hi):
+    """The float that _bisect(f0, lo, hi) returns, in a few Newton steps:
+    f(A) = (f0(A), f0'(A)), f0 < 0 left of its one sign change in (lo, hi)
+    and f0(hi) >= 0. Newton runs from hi inside the bracket its signs shrink
+    (bisecting when a step would leave it) until a step is at most 4 ulps or
+    a midpoint rounds onto lo or hi: near a tangency |f0| is noise and steps
+    need not shrink. f0 = 0 does not stop it, as f0 can round to 0 on several
+    ulps. _bisect then finishes on a bracket found in doubling steps from the
+    last iterate, so the float is the full bisection's wherever the computed
+    sign of f0 changes once."""
+    A = hi
+    while True:
+        fA, slope = f(A)
+        lo, hi = (A, hi) if fA < 0.0 else (lo, A)
+        step = A - fA / slope if slope > 0.0 else math.nan
+        if abs(step - A) <= 4.0 * math.ulp(A):
+            break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if step in (lo, hi):
+                break
+        A = step
+    w = 4.0 * math.ulp(A)
+    while True:
+        a, b = max(lo, A - w), min(hi, A + w)
+        if lo < a and f(a)[0] >= 0.0:
+            hi = a
+        elif b < hi and f(b)[0] < 0.0:
+            lo = b
+        else:
+            return _bisect(lambda A: f(A)[0], a, b)
+        w *= 2.0
+
+
 def _branch_at(A: float, c, eps: float):
     """(x, (m1, m2, m3), (q1, q2, q3)) on the decaying real branch at
     A = x + eps*mbar > 0."""
@@ -248,14 +292,19 @@ def _branch_at(A: float, c, eps: float):
     return x, m, q
 
 
+def _edge_slope(A: float, c, eps: float):
+    """(2 dx/dA, its derivative) = (sum_l A/s_l - 1, sum_l 4*eps*c_l/s_l^3)
+    at A; the edge is its one root."""
+    (c1, c2, c3), AA, e4 = c, A * A, 4.0 * eps
+    s1, s2, s3 = (math.sqrt(AA + e4 * c1), math.sqrt(AA + e4 * c2),
+                  math.sqrt(AA + e4 * c3))
+    return A / s1 + A / s2 + A / s3 - 1.0, e4 * (c1 / s1**3 + c2 / s2**3 + c3 / s3**3)
+
+
 @functools.lru_cache(maxsize=256)
 def _edge_point(c, eps: float):
     """(edge abscissa, A at the edge) for ratios c, cached."""
-
-    def slope(A):  # 2 dx/dA
-        return sum(A / math.sqrt(A * A + 4.0 * eps * cl) for cl in c) - 1.0
-
-    A = _bisect(slope, 0.0, 2.0 * math.sqrt(eps))
+    A = _newton_root(lambda A: _edge_slope(A, c, eps), 0.0, 2.0 * math.sqrt(eps))
     return _branch_at(A, c, eps)[0], A
 
 
@@ -268,8 +317,8 @@ def real_branch_stieltjes(x: float, p: ModelParams) -> StieltjesSolution:
     """Decaying real-axis branch at x, at or right of the support edge.
 
     The returned solution sits at the branch point nearest x (its z is
-    x(A) at the bisected A). Raises OutsideSupportError for x inside the
-    support.
+    x(A) at the root A of x(A) = x). Raises OutsideSupportError for x
+    inside the support.
     """
     x = float(x)
     if x <= 0:
@@ -278,7 +327,12 @@ def real_branch_stieltjes(x: float, p: ModelParams) -> StieltjesSolution:
     edge, A_edge = _edge_point(c, eps)
     if x < edge:
         raise OutsideSupportError(f"x={x} lies inside the support (edge {edge})")
-    A = _bisect(lambda A: _branch_at(A, c, eps)[0] - x, A_edge, x)
+
+    def gap(A):  # (x(A) - x, dx/dA)
+        return _branch_at(A, c, eps)[0] - x, _edge_slope(A, c, eps)[0] / 2
+
+    # At the edge, x(A) - x is flat and rounds to 0 on millions of ulps.
+    A = A_edge if x == edge else _newton_root(gap, A_edge, x)
     z, m, _ = _branch_at(A, c, eps)
     return StieltjesSolution(z, *m, _residual(z, c, eps, m))
 
@@ -312,6 +366,17 @@ def limiting_density(
     return DensityCurve(grid, density, eta)
 
 
+def _spike_gap(A: float, c, eps: float, beta: float):
+    """(F(A), F'(A)) for F(A) = A - eps*beta*q1*q2*q3 on the branch, where
+    d ln q_l / dA = 2*eps*c_l / (A*s_l*(A + s_l))."""
+    (c1, c2, c3), AA, e4, A2 = c, A * A, 4.0 * eps, 2.0 * A
+    s1, s2, s3 = (math.sqrt(AA + e4 * c1), math.sqrt(AA + e4 * c2),
+                  math.sqrt(AA + e4 * c3))
+    q1, q2, q3 = (math.sqrt(A2 / (A + s1)), math.sqrt(A2 / (A + s2)),
+                  math.sqrt(A2 / (A + s3)))
+    g = eps * beta * q1 * q2 * q3
+    dlog = c1 / (s1 * (A + s1)) + c2 / (s2 * (A + s2)) + c3 / (s3 * (A + s3))
+    return A - g, 1.0 - g * 2.0 * eps / A * dlog
 
 
 def solve_spike(p: ModelParams) -> SpikePrediction:
@@ -321,7 +386,7 @@ def solve_spike(p: ModelParams) -> SpikePrediction:
     edge (checked by a property test over skewed ratios, small eps and beta
     around the threshold) and is positive at A = eps*beta, where every
     q_l < 1. So a root exists exactly when F(A_edge) < 0, i.e. when beta
-    exceeds beta_threshold(p), and it is bisected on (A_edge, eps*beta).
+    exceeds beta_threshold(p); _newton_root finds it on (A_edge, eps*beta).
     Below the threshold the infeasible marker (all q = 0) is returned. The
     residual substitutes the branch point into x + eps*mbar -
     eps*beta*q1*q2*q3, with q_l from 1 - eps*m_l^2/c_l.
@@ -329,15 +394,11 @@ def solve_spike(p: ModelParams) -> SpikePrediction:
     if p.beta is None:
         raise ValueError("solve_spike needs beta set on the parameters")
     c, eps, beta = p.ratios, p.epsilon, p.beta
-
-    def F(A):
-        q1, q2, q3 = _branch_at(A, c, eps)[2]
-        return A - eps * beta * q1 * q2 * q3
-
     A_edge = _edge_point(c, eps)[1]
-    if F(A_edge) >= 0.0:
+    if _spike_gap(A_edge, c, eps, beta)[0] >= 0.0:
         return INFEASIBLE
-    sigma, m, q = _branch_at(_bisect(F, A_edge, eps * beta), c, eps)
+    A = _newton_root(lambda A: _spike_gap(A, c, eps, beta), A_edge, eps * beta)
+    sigma, m, q = _branch_at(A, c, eps)
     r1, r2, r3 = (math.sqrt(1.0 - eps * ml * ml / cl) for ml, cl in zip(m, c))
     residual = sigma + eps * (m[0] + m[1] + m[2]) - eps * beta * r1 * r2 * r3
     return SpikePrediction(sigma, *q, m, True, residual=abs(residual))

@@ -195,9 +195,10 @@ def test_criterion_7_epsilon_sweep_reproduction(tmp_path):
     results = {}
     for init in ("random", "planted"):
         out = tmp_path / init
-        # Random init approximates the best rank-one fit by keeping the
-        # max-sigma restart of 8; planted init tracks the informative branch
-        # directly and converges fast, so it can afford a tighter tolerance.
+        # Random init approximates the best rank-one fit by polishing the
+        # restart of 8 ranked first by sigma after the scan; planted init
+        # tracks the informative branch directly and converges fast, so it
+        # can afford a tighter tolerance.
         cfg = ExperimentConfig(
             shape=Shape3(50, 100, 350),
             beta=2.5,

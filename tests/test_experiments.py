@@ -285,6 +285,20 @@ class TestPeakAllocation:
             tracemalloc.stop()
         assert peak / (8 * math.prod(self.shape.dims)) < bound
 
+    def test_derivative_check(self):
+        # The noise, the punctured instance and one finite-difference copy,
+        # handed over read-only: 4.06 volumes at 30x40x50. A full spike and
+        # a second copy per solve read 6.06.
+        shape = Shape3(30, 40, 50)
+        derivative_check_rows(shape, 3.0, 0.7, 0, 2)
+        tracemalloc.start()
+        try:
+            derivative_check_rows(shape, 3.0, 0.7, 0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * math.prod(shape.dims)) < 4.5
+
 
 class TestRunEpsilonSweep:
     def test_columns_and_failed_count(self, tmp_path):

@@ -19,10 +19,17 @@ from punctured_tensor import (
     threshold_alignment_cubic,
     universality_map,
 )
+from punctured_tensor import rmt_theory
 from punctured_tensor.rmt_theory import (
+    FixedPointError,
     OutsideSupportError,
+    _bisect,
     _branch_at,
     _edge_point,
+    _edge_slope,
+    _newton,
+    _newton_root,
+    _spike_gap,
 )
 
 CUBIC = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -162,6 +169,30 @@ class TestStieltjesComplex:
         sol = solve_stieltjes(z, p)
         for m, cl in zip(sol.values, SKEW):
             assert abs(m - (-cl / z)) < 1e-3
+
+    def test_failed_stage_falls_back_to_halving(self, monkeypatch):
+        # A failed 1/16 stage resumes from the last solved stage by halving;
+        # only a failed halving stage raises.
+        c, eps, z = SKEW, 0.4, complex(0.3, 1e-5)
+        stages = []
+
+        def failing(fail_at):
+            def newton(stage, *args):
+                stages.append(stage.imag)
+                return None if len(stages) in fail_at else _newton(stage, *args)
+            return newton
+
+        monkeypatch.setattr(rmt_theory, "_newton", failing({3}))
+        sol = solve_stieltjes(z, _params(c, eps))
+        assert stages[:5] == [1.0, 1.0 / 16, 1.0 / 256, 1.0 / 32, 1.0 / 64]
+        ref = _halving_stieltjes(z, c, eps)
+        for m, r in zip(sol.values, ref.values):
+            assert abs(m - r) <= 1e-13 * abs(r)
+        stages.clear()
+        monkeypatch.setattr(rmt_theory, "_newton", failing({3, 5}))
+        with pytest.raises(FixedPointError):
+            solve_stieltjes(z, _params(c, eps))
+        assert stages == [1.0, 1.0 / 16, 1.0 / 256, 1.0 / 32, 1.0 / 64]
 
     def test_rejects_real_z(self):
         with pytest.raises(ValueError):
@@ -438,6 +469,109 @@ class TestSpikeProperties:
         assert abs(punctured - unpunctured) <= 1e-10 * unpunctured
 
 
+# Evaluations of f that one _newton_root solve may take; the full bisection
+# takes 53 to 57.
+_MAX_EVALS = 48
+
+
+def _bounded_root(f, lo, hi):
+    """_newton_root(f, lo, hi), failing after _MAX_EVALS evaluations of f,
+    so that a loop that never ends fails instead."""
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        if len(calls) > _MAX_EVALS:
+            raise AssertionError(f"more than {_MAX_EVALS} evaluations")
+        return f(A)
+
+    return _newton_root(counted, lo, hi)
+
+
+def _assert_matches_bisection(f, lo, hi, scale):
+    """_newton_root against the full bisection of f(.)[0] on (lo, hi).
+
+    f(.)[0] is a difference of terms of size `scale`, so it rounds at a few
+    ulps of `scale`, and its computed sign is noise within about
+    ulp(scale) / f' of the root. The two roots agree to 4 ulps of A or of
+    that band, whichever is wider (4 ulps except near a tangency)."""
+    A = _bounded_root(f, lo, hi)
+    ref = _bisect(lambda A: f(A)[0], lo, hi)
+    band = math.ulp(scale) / f(ref)[1]
+    assert abs(A - ref) <= 4.0 * max(math.ulp(ref), band), (A, ref, band)
+    return A
+
+
+class TestNewtonRoot:
+    """_newton_root, the root finder of the edge, the branch and the spike,
+    against the full bisection over the TestSpikeProperties box, with
+    beta also at beta_s * (1 +- 1e-6)."""
+
+    @_PROPERTY
+    @given(c=_ratios(), eps=_EPS, beta=_BETA, near=st.sampled_from([0, 1e-6, -1e-6]))
+    def test_matches_full_bisection(self, c, eps, beta, near):
+        A_edge = _assert_matches_bisection(
+            lambda A: _edge_slope(A, c, eps), 0.0, 2.0 * math.sqrt(eps), 1.0
+        )
+        assert A_edge == _edge_point(c, eps)[1]
+        p = _params(c, eps)
+        if near:
+            beta = beta_threshold(p) * (1.0 + near)
+        feasible = _spike_gap(A_edge, c, eps, beta)[0] < 0.0
+        if feasible:  # counted before solve_spike runs, so a hang fails
+            f = lambda A: _spike_gap(A, c, eps, beta)  # noqa: E731
+            A = _assert_matches_bisection(f, A_edge, eps * beta, eps * beta)
+        pred = solve_spike(replace(p, beta=beta))
+        assert pred.feasible == feasible
+        if feasible:
+            assert pred.sigma_inf == _branch_at(A, c, eps)[0]
+
+    def test_ends_near_the_threshold(self):
+        # Here F' is about 6e-4 at the root and |F| about 1e-17: a Newton step
+        # stays above 4 ulps, and the computed sign of F is noise over about
+        # a thousand ulps, so the stop rule alone must end the loop.
+        c = (0.0009994033831297955, 0.224884751097652, 0.7741158455192183)
+        eps = 0.09504532206680555
+        beta = beta_threshold(_params(c, eps)) * (1.0 + 1e-6)
+        A_edge = _edge_point(c, eps)[1]
+        f = lambda A: _spike_gap(A, c, eps, beta)  # noqa: E731
+        A = _assert_matches_bisection(f, A_edge, eps * beta, eps * beta)
+        pred = solve_spike(_params(c, eps, beta=beta))
+        assert pred.sigma_inf == _branch_at(A, c, eps)[0]
+
+    def test_branch_matches_full_bisection(self):
+        # x(A) - x is flat at the edge, so the band widens as x nears it;
+        # at the edge itself the branch point is the edge's own.
+        for c, eps in ((SKEW, 0.4), (CUBIC, 0.25), ((0.001, 0.499, 0.5), 0.01)):
+            p = _params(c, eps)
+            edge, A_edge = _edge_point(c, eps)
+            assert real_branch_stieltjes(edge, p).z == edge
+            for x in (edge * 1.001, edge * 1.1, edge + 1.0, 1e3):
+
+                def gap(A):
+                    x_A, _, _ = _branch_at(A, c, eps)
+                    return x_A - x, 0.5 * _edge_slope(A, c, eps)[0]
+
+                A = _assert_matches_bisection(gap, A_edge, x, x)
+                assert real_branch_stieltjes(x, p).z == _branch_at(A, c, eps)[0]
+
+
+def _halving_stieltjes(z, c, eps):
+    """The cold start before 1/16 stages, kept as the reference: from
+    -c/z' at Im z' = +-max(1, |Im z|), halve Im z' down to Im z with one
+    _newton solve per stage."""
+    eta = math.copysign(max(1.0, abs(z.imag)), z.imag)
+    m = tuple(-cl / complex(z.real, eta) for cl in c)
+    while True:
+        stage = complex(z.real, eta) if abs(eta) > 1.999 * abs(z.imag) else z
+        sol = _newton(stage, c, eps, m)
+        assert sol is not None, stage
+        if stage == z:
+            return sol
+        m = sol.values
+        eta *= 0.5
+
+
 _STIELTJES_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
 
 
@@ -469,6 +603,39 @@ class TestStieltjesProperties:
         cplx = solve_stieltjes(complex(x, 1e-9), p)
         for a, b in zip(real_sol.values, cplx.values):
             assert abs(a.real - b.real) <= 1e-8 * abs(a.real)
+
+    @_STIELTJES_PROPERTY
+    @given(
+        c=_ratios(),
+        eps=_EPS,
+        x=st.floats(-3.0, 3.0),
+        log_eta=st.floats(-6.0, 0.0),
+    )
+    def test_cold_start_matches_halving(self, c, eps, x, log_eta):
+        # Within Im z of the cusp at 0 (c_max = 1/2), neither solve holds
+        # 1e-13: test_cold_start_at_the_cusp checks the 40-digit reference.
+        assume(abs(max(c) - 0.5) >= 1e-3 or abs(x) >= 0.05)
+        z = complex(x, 10.0 ** log_eta)
+        sol = solve_stieltjes(z, _params(c, eps))
+        ref = _halving_stieltjes(z, c, eps)
+        for m, r in zip(sol.values, ref.values):
+            assert abs(m - r) <= 1e-13 * abs(r)
+
+    @pytest.mark.parametrize("c, eps, z", [
+        ((0.5, 0.125, 0.375), 1.0, 1e-5j),
+        ((0.5, 0.4583454890617302, 0.04165451093826977), 0.7873224528374096,
+         1.045486069552881e-06j),
+        ((0.44631389240958597, 0.053678686355956295, 0.5000074212344577), 1.0,
+         1.1684153334116912e-06j),
+    ])
+    def test_cold_start_at_the_cusp(self, c, eps, z):
+        # At c_max = 1/2 the density grows like |x|^(-1/3) at 0, and within
+        # Im z of it the fixed point is ill-conditioned: the cold start and
+        # the halving continuation each miss the reference by up to 9e-13
+        # and disagree by up to 1e-12, neither one the better.
+        sol = solve_stieltjes(z, _params(c, eps))
+        for m, r in zip(sol.values, _mp_stieltjes(z, c, eps)):
+            assert abs(m - r) <= 2e-12 * abs(r)
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(c=_ratios(0.02), eps=st.floats(0.05, 1.0))
