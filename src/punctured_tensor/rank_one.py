@@ -28,7 +28,6 @@ from .tensor_core import (
     SignalTriple,
     Tensor3,
     _all_finite,
-    _contract,
     check_factors,
     contract_full,
     contract_one,
@@ -243,33 +242,48 @@ def _unit_columns(X: np.ndarray):
     X /= np.maximum(np.linalg.norm(X, axis=0), np.finfo(X.dtype).tiny)
 
 
+def _scan_sweep(A32, U, V, W):
+    """One float32 sweep of the scan on the rows (R, n) of U, V and W: T3 =
+    tm(:, :, w), batched over the mode-1 slabs as (n1, R, n2), gives u and v
+    restart by restart; w = tm(u, v, :) is one Khatri-Rao (MTTKRP) product
+    batched over the slabs and summed over them (Kolda & Bader 2009)."""
+    T3 = np.matmul(W, A32.transpose(0, 2, 1))
+    U = np.einsum("irj,rj->ri", T3, V)
+    _unit_columns(U.T)
+    V = np.einsum("irj,ri->rj", T3, U)
+    _unit_columns(V.T)
+    W = np.matmul(V[None] * U.T[:, :, None], A32).sum(axis=0)
+    _unit_columns(W.T)
+    return U, V, W
+
+
 def scan_restarts(tm: Tensor3, inits, sweeps: int):
     """Advance several initializations jointly for a fixed number of sweeps.
 
     Returns [(sigma, u, v, w), ...] sorted by descending sigma. The scan only
     ranks the restarts, so it runs in float32 on a private float32 copy of
     the tensor (ValueError if an entry overflows it): the starts are stacked
-    as columns of n x R batches, and each sweep makes two batched
-    contractions (modes 3 and 1) that stream the copy once each regardless
-    of R; the per-restart products run as einsum over the trailing R axis.
-    A lone start gets a zero column beside it (zero columns stay zero):
-    numpy would multiply a one-column batch by gemv and reduce it along
-    another axis, which rounds differently from the batch a restart shares
-    with others. The returned factors are float64, renormalized, and sigma
-    is tm(u, v, w) computed in float64 from them. The points are not
+    as the rows of R x n batches, and each sweep (_scan_sweep) streams the
+    copy twice regardless of R. A lone start gets a zero row beside it (zero
+    rows stay zero): numpy would multiply a one-row batch by gemv, which
+    rounds differently from the gemm of a batch shared with other restarts.
+    The returned factors are float64, renormalized, and sigma is
+    tm(u, v, w) computed in float64 from them. The points are not
     converged: solve_critical_point polishes the best one. A restart whose
     contraction vanishes keeps zero factors and sigma 0.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")
     starts = [check_factors(tm.shape, s) for s in inits]
+    if not starts:
+        raise ValueError("the scan needs at least one start")
     R = len(starts)
-    U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
+    U, V, W = (np.stack(rows) for rows in zip(*starts))
     if R == 1:
-        U, V, W = (np.pad(cols, ((0, 0), (0, 1))) for cols in (U, V, W))
-    for cols in (U, V, W):
-        _unit_columns(cols)
-    U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
+        U, V, W = (np.pad(rows, ((0, 1), (0, 0))) for rows in (U, V, W))
+    for rows in (U, V, W):
+        _unit_columns(rows.T)
+    U, V, W = (rows.astype(np.float32) for rows in (U, V, W))
     with np.errstate(over="ignore"):
         A32 = tm.values.astype(np.float32)
     if not _all_finite(A32):
@@ -277,14 +291,8 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
             "tensor entries must be finite in float32: the float32 copy overflowed"
         )
     for _ in range(sweeps):
-        T3 = _contract(A32, 3, W)
-        U = np.einsum("ijr,jr->ir", T3, V)
-        _unit_columns(U)
-        V = np.einsum("ijr,ir->jr", T3, U)
-        _unit_columns(V)
-        W = np.einsum("jkr,jr->kr", _contract(A32, 1, U), V)
-        _unit_columns(W)
-    U, V, W = (cols[:, :R].astype(np.float64) for cols in (U, V, W))
+        U, V, W = _scan_sweep(A32, U, V, W)
+    U, V, W = (rows[:R].T.astype(np.float64) for rows in (U, V, W))
     for cols in (U, V, W):
         _unit_columns(cols)
     sigma = np.einsum("ijr,ir,jr->r", contract_one(tm, 3, W), U, V)

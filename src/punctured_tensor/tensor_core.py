@@ -377,17 +377,8 @@ def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
     p = _check_vector(p, t.shape.dim(mode), f"mode-{mode} operand", batch=True)
-    return _contract(t.values, mode, p)
-
-
-def _contract(A: np.ndarray, mode: int, p: np.ndarray) -> np.ndarray:
-    """contract_one's arithmetic on a checked 3-way array A, in A's dtype.
-
-    p is cast to A's dtype. Besides contract_one, only scan_restarts calls
-    it, on its private float32 copy of the tensor.
-    """
+    A = t.values
     n1, n2, n3 = A.shape
-    p = p.astype(A.dtype, copy=False)
     if mode == 1:
         return (A.reshape(n1, n2 * n3).T @ p).reshape((n2, n3) + p.shape[1:])
     if mode == 2:

@@ -25,7 +25,8 @@ from punctured_tensor import (
     scan_restarts,
     solve_critical_point,
 )
-from punctured_tensor import rank_one
+from punctured_tensor import puncture, rank_one
+from punctured_tensor.experiments import ExperimentConfig, _draw, _signal
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
     contract_full,
@@ -577,6 +578,45 @@ def _scan64(tm, starts, sweeps):
     return best
 
 
+def _unit(x):
+    return x / np.linalg.norm(x)
+
+
+def _scan_columns(tm, starts, sweeps):
+    """Reference float32 scan in column-major layout: the starts as the
+    columns of n x R batches, T3 = A32 @ W and tm(u, :, :) as whole-tensor
+    products with a trailing R axis, and the per-restart products as einsum
+    over that axis. Returns the float32 columns (U, V, W) after sweeps."""
+    A32 = tm.values.astype(np.float32)
+    n1, n2, n3 = A32.shape
+    U, V, W = (np.stack(cols, axis=1) for cols in zip(*starts))
+    for cols in (U, V, W):
+        rank_one._unit_columns(cols)
+    U, V, W = (cols.astype(np.float32) for cols in (U, V, W))
+    for _ in range(sweeps):
+        T3 = A32 @ W
+        U = np.einsum("ijr,jr->ir", T3, V)
+        rank_one._unit_columns(U)
+        V = np.einsum("ijr,ir->jr", T3, U)
+        rank_one._unit_columns(V)
+        M1 = (A32.reshape(n1, n2 * n3).T @ U).reshape(n2, n3, -1)
+        W = np.einsum("jkr,jr->kr", M1, V)
+        rank_one._unit_columns(W)
+    return U, V, W
+
+
+def _ranked(tm, U, V, W):
+    """Float32 columns as scan_restarts returns restarts: float64,
+    renormalized and ranked by their float64 sigma."""
+    U, V, W = (cols.astype(np.float64) for cols in (U, V, W))
+    for cols in (U, V, W):
+        rank_one._unit_columns(cols)
+    sigma = np.array([contract_full(tm, U[:, r], V[:, r], W[:, r])
+                      for r in range(U.shape[1])])
+    return [(sigma[r], U[:, r], V[:, r], W[:, r])
+            for r in np.argsort(sigma)[::-1]]
+
+
 class TestScanRestarts:
     def test_batch_matches_single_starts(self):
         tm, _, _, _ = _masked_instance(Shape3(8, 9, 10), 2.0, 0.6, 5)
@@ -629,6 +669,56 @@ class TestScanRestarts:
         )
         assert overlap > 1.0 - 1e-10
 
+    def test_sweep_products_are_float32(self):
+        # One sweep of the scan computes in float32 on the float32 copy and
+        # matches a float64 sweep from contract_one, restart by restart.
+        dims = (6, 7, 8)
+        tm, _, _, _ = _masked_instance(Shape3(*dims), 2.0, 0.6, 3)
+        gen = RngSeed(4).generator()
+        U, V, W = (gen.standard_normal((3, n)) for n in dims)
+        for rows in (U, V, W):
+            rank_one._unit_columns(rows.T)
+        got = rank_one._scan_sweep(
+            tm.values.astype(np.float32),
+            *(rows.astype(np.float32) for rows in (U, V, W)))
+        assert all(rows.dtype == np.float32 for rows in got)
+        for r in range(3):
+            M3 = contract_one(tm, 3, W[r])
+            u = _unit(M3 @ V[r])
+            v = _unit(M3.T @ u)
+            w = _unit(contract_one(tm, 1, u).T @ v)
+            for rows, exact in zip(got, (u, v, w)):
+                assert np.max(np.abs(rows[r] - exact)) <= 1e-5 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("dims", [(50, 100, 350), (5, 300, 40)])
+    def test_one_sweep_matches_column_layout(self, dims):
+        # The row-major sweep rounds differently from the column-major one,
+        # by a few float32 roundings of the unit factors: 1.4 and 2.3 eps32
+        # here, at most 4.7 over six instances a shape (the skewed shape has
+        # mode 2 largest and 5 entries in u).
+        tm, _, _, _ = _masked_instance(Shape3(*dims), 2.5, 0.6, 0)
+        gen = RngSeed(1).generator()
+        starts = [tuple(gen.standard_normal(n) for n in dims) for _ in range(8)]
+        want = _ranked(tm, *_scan_columns(tm, starts, 1))
+        for got, ref in zip(scan_restarts(tm, starts, 1), want):
+            for a, b in zip(got[1:], ref[1:]):
+                assert np.max(np.abs(a - b)) <= 8 * EPS32
+
+    def test_ranking_matches_column_layout(self):
+        # Criterion 7's first trial at epsilon 0.6 after its 50 sweeps: each
+        # rank holds the reference's restart of that rank, or one whose
+        # sigma lies within 1e-5 of it (ranks 1 and 2 reach one point).
+        cfg = ExperimentConfig(shape=Shape3(50, 100, 350), beta=2.5,
+                               init="random", restarts=8)
+        draw, inits = _draw(cfg, cfg.shape, _signal(cfg, cfg.shape), (0.6,), 0)
+        tm = puncture(draw, 0.6)
+        want = _ranked(tm, *_scan_columns(tm, inits, 50))
+        for (_, *got), ref in zip(scan_restarts(tm, inits, 50), want):
+            ties = [r for r in want if abs(r[0] - ref[0]) <= 1e-5]
+            overlap = max(min(abs(float(a @ b)) for a, b in zip(got, r[1:]))
+                          for r in ties)
+            assert overlap > 1.0 - 1e-6
+
     def test_zero_tensor(self):
         # eps = 0 masks every entry: every restart keeps zero factors and
         # sigma 0 instead of turning into NaN.
@@ -651,6 +741,10 @@ class TestScanRestarts:
             scan_restarts(tm, [good, (np.ones(4), np.ones(5), np.ones(7))], 3)
         with pytest.raises(ValueError):
             scan_restarts(tm, [good], 0)
+        with pytest.raises(ValueError, match="at least one start"):
+            scan_restarts(tm, [], 3)
+        with pytest.raises(ValueError):
+            scan_restarts(tm, [good, good[:2]], 3)
 
     def test_rejects_tensor_that_overflows_float32(self):
         # The float64 tensor is finite, but its float32 ranking copy is not:

@@ -27,7 +27,6 @@ from punctured_tensor.experiments import ExperimentConfig, run_epsilon_sweep
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
     _all_finite,
-    _contract,
     _spend_levels,
 )
 
@@ -494,18 +493,6 @@ class TestContractions:
         masked = hadamard(t, m).values
         assert masked.dtype == np.float64
         np.testing.assert_array_equal(masked, hadamard(t64, m).values)
-
-    @pytest.mark.parametrize("mode", [1, 2, 3])
-    def test_float32_tensor_computes_in_float32(self, rng, mode):
-        # The private kernel computes in its array's dtype (the operand is
-        # cast to it): float32 only for the restart scan's ranking copy.
-        dims = (3, 4, 5)
-        vals = rng.standard_normal(dims)
-        P = rng.standard_normal((dims[mode - 1], 2))
-        got = _contract(vals.astype(np.float32), mode, P)
-        assert got.dtype == np.float32
-        exact = contract_one(Tensor3(vals), mode, P)
-        assert np.max(np.abs(got - exact)) <= 1e-5 * np.max(np.abs(exact))
 
     def test_consistency_chain_random_shapes(self, rng):
         # contract_one composes into every one-free-mode contraction, both
