@@ -578,10 +578,6 @@ def _scan64(tm, starts, sweeps):
     return best
 
 
-def _unit(x):
-    return x / np.linalg.norm(x)
-
-
 def _scan_columns(tm, starts, sweeps):
     """Reference float32 scan in column-major layout: the starts as the
     columns of n x R batches, T3 = A32 @ W and tm(u, :, :) as whole-tensor
@@ -668,27 +664,6 @@ class TestScanRestarts:
             abs(float(x @ y)) for x, y in zip((a.u, a.v, a.w), (b.u, b.v, b.w))
         )
         assert overlap > 1.0 - 1e-10
-
-    def test_sweep_products_are_float32(self):
-        # One sweep of the scan computes in float32 on the float32 copy and
-        # matches a float64 sweep from contract_one, restart by restart.
-        dims = (6, 7, 8)
-        tm, _, _, _ = _masked_instance(Shape3(*dims), 2.0, 0.6, 3)
-        gen = RngSeed(4).generator()
-        U, V, W = (gen.standard_normal((3, n)) for n in dims)
-        for rows in (U, V, W):
-            rank_one._unit_columns(rows.T)
-        got = rank_one._scan_sweep(
-            tm.values.astype(np.float32),
-            *(rows.astype(np.float32) for rows in (U, V, W)))
-        assert all(rows.dtype == np.float32 for rows in got)
-        for r in range(3):
-            M3 = contract_one(tm, 3, W[r])
-            u = _unit(M3 @ V[r])
-            v = _unit(M3.T @ u)
-            w = _unit(contract_one(tm, 1, u).T @ v)
-            for rows, exact in zip(got, (u, v, w)):
-                assert np.max(np.abs(rows[r] - exact)) <= 1e-5 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("dims", [(50, 100, 350), (5, 300, 40)])
     def test_one_sweep_matches_column_layout(self, dims):

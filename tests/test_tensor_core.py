@@ -22,7 +22,7 @@ from punctured_tensor import (
     puncture,
     sample_mask,
 )
-from punctured_tensor import phi_spectrum
+from punctured_tensor import phi_spectrum, rank_one
 from punctured_tensor.experiments import ExperimentConfig, run_epsilon_sweep
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
@@ -493,6 +493,31 @@ class TestContractions:
         masked = hadamard(t, m).values
         assert masked.dtype == np.float64
         np.testing.assert_array_equal(masked, hadamard(t64, m).values)
+
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_float32_tensor_computes_in_float32(self, rng, mode):
+        # The restart scan's one float32 contraction path: a sweep on the
+        # float32 copy returns float32 rows, and the factor whose free mode
+        # is `mode` matches a float64 sweep from contract_one, restart by
+        # restart.
+        dims = (3, 4, 5)
+        t = Tensor3(rng.standard_normal(dims))
+        U, V, W = (rng.standard_normal((2, n)) for n in dims)
+        for rows in (U, V, W):
+            rank_one._unit_columns(rows.T)
+        got = rank_one._scan_sweep(
+            t.values.astype(np.float32),
+            *(rows.astype(np.float32) for rows in (U, V, W)))[mode - 1]
+        assert got.dtype == np.float32
+        for r in range(2):
+            M3 = contract_one(t, 3, W[r])
+            u = M3 @ V[r]
+            u /= np.linalg.norm(u)
+            v = M3.T @ u
+            v /= np.linalg.norm(v)
+            w = contract_one(t, 1, u).T @ v
+            exact = (u, v, w / np.linalg.norm(w))[mode - 1]
+            assert np.max(np.abs(got[r] - exact)) <= 1e-5 * np.max(np.abs(exact))
 
     def test_consistency_chain_random_shapes(self, rng):
         # contract_one composes into every one-free-mode contraction, both
