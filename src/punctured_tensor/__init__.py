@@ -22,7 +22,6 @@ from .rank_one import (
     DegeneratePointError,
     SolverConfig,
     alignments,
-    heuristic1_diagnostic,
     first_order_residual,
     scan_restarts,
     solve_critical_point,

@@ -11,8 +11,9 @@ crawls below the recovery threshold, so every solve finishes by shifted
 Newton steps: Phi(u, v, w) is the Jacobian of the first-order map, so a
 step solves (Phi - (sigma + mu) I) delta = -r and renormalizes each block.
 The shift mu keeps Phi - (sigma + mu) I negative definite on the tangent
-space of the three spheres, so steps climb from far out (Absil, Baker &
-Gallivan 2007; More & Sorensen 1983). A point is returned only once
+space of the three spheres, so steps climb from far out, and a step is
+judged by its gain in sigma alone, as in a trust-region ascent (Absil,
+Baker & Gallivan 2007; More & Sorensen 1983). A point is returned only once
 certified a local maximum: Phi < sigma on that tangent space (Lim 2005).
 """
 
@@ -29,9 +30,7 @@ from .tensor_core import (
     Tensor3,
     _all_finite,
     check_factors,
-    contract_full,
     contract_one,
-    hadamard,
 )
 
 
@@ -151,12 +150,13 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
 
     A step at s = sigma + mu needs _certified to admit s; a refused shift
     or a rejected step sets mu to max(4 mu, 1e-3 sigma). A step is kept if
-    sigma does not decrease (within mono_slack) and the max-norm residual
-    at most doubles; mu then falls to mu / 4, or to 0 below 1e-6 sigma. A
-    kept point with residual at most tol is returned once certified (s =
-    sigma). A step makes two passes and a kept point, as the start, one
-    more; a step is taken only with room for Phi at its point. Returns
-    (point, steps taken); point is None if the passes run out.
+    sigma does not decrease (within mono_slack), whatever the residual does
+    (far from a critical point a climbing step may raise it); mu then falls
+    to mu / 4, or to 0 below 1e-6 sigma. A kept point with max-norm
+    residual at most tol is returned once certified (s = sigma). A step
+    makes two passes and a kept point, as the start, one more; a step is
+    taken only with room for Phi at its point. Returns (point, steps
+    taken); point is None if the passes run out.
     """
     if passes < 1:
         return None, 0  # no pass for Phi, which the certificate needs
@@ -176,8 +176,7 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
             sigma1 = float(v1 @ (M1n @ w1))
             residual1 = _residual_max(M3n, M1n, sigma1, u1, v1, w1)
             steps, used = steps + 1, used + 2
-            if (sigma1 >= sigma - mono_slack * max(1.0, sigma)
-                    and residual1 <= 2.0 * residual):
+            if sigma1 >= sigma - mono_slack * max(1.0, sigma):
                 sigma, u, v, w, M3, M1, residual = sigma1, u1, v1, w1, M3n, M1n, residual1
                 blocks, used = _phi_blocks(tm, v, M3, M1), used + 1
                 mu = mu / 4.0 if mu >= 4e-6 * sigma else 0.0
@@ -322,13 +321,3 @@ def alignments(cp: CriticalPoint, signal: SignalTriple) -> tuple[float, float, f
         abs(float(signal.z @ cp.w)),
     )
 
-
-def heuristic1_diagnostic(t: Tensor3, m, cp: CriticalPoint) -> float:
-    """Empirical gap |(t.m)(u,v,w) - eps * t(u,v,w)|.
-
-    Under the asymptotic mask-independence heuristic the gap vanishes as the
-    dimensions grow; this is a testable diagnostic, not a proved fact.
-    """
-    masked = contract_full(hadamard(t, m), cp.u, cp.v, cp.w)
-    plain = contract_full(t, cp.u, cp.v, cp.w)
-    return abs(masked - m.epsilon * plain)

@@ -179,6 +179,10 @@ def _check_vector(vec, n: int, label: str, batch: bool = False) -> np.ndarray:
 
 def check_factors(shape: Shape3, factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The factors (u, v, w) as float64 vectors of lengths (n1, n2, n3)."""
+    factors = tuple(factors)
+    if len(factors) != 3:
+        raise DimensionMismatchError(
+            f"expected three factors (u, v, w), got {len(factors)}")
     u, v, w = factors
     return (
         _check_vector(u, shape.n1, "mode-1 factor"),
@@ -368,7 +372,8 @@ def contract_full(t: Tensor3, a, b, c) -> float:
 
 
 def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
-    """Contract a single mode against p; the only product with the tensor.
+    """Contract a single mode against p; every float64 product with the
+    tensor (the restart scan multiplies its private float32 copy itself).
 
     mode 3 gives the n1 x n2 matrix sum_k t_ijk p_k; mode 2 gives n1 x n3;
     mode 1 gives n2 x n3. p is a vector (n_mode,) or a batch (n_mode, R) of
