@@ -101,6 +101,9 @@ class ExperimentConfig:
         for name in ("beta_grid", "epsilon_grid"):
             if getattr(self, name) is not None and len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} needs at least one value")
+        for eps in (self.epsilon,) + (self.epsilon_grid or ()):
+            if not 0.0 < eps <= 1.0:
+                raise ValueError(f"epsilon {eps} outside (0, 1]")
 
     def resolve_shape(self) -> Shape3:
         if self.shape is not None:
@@ -372,9 +375,6 @@ def run_epsilon_sweep(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out or ".")
     if cfg.epsilon_grid is None:
         raise ValueError("epsilon-sweep requires --epsilon-grid")
-    for eps in cfg.epsilon_grid:
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"epsilon grid value {eps} outside (0, 1]")
     shape = cfg.resolve_shape()
     signal = _signal(cfg, shape)
     rows = []

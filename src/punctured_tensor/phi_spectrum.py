@@ -73,16 +73,23 @@ class PhiMatrix:
         """The (a, b) block for modes a != b in 1..3."""
         return getattr(self, f"b{a}{b}") if a < b else getattr(self, f"b{b}{a}").T
 
-    def split(self, last: int):
-        """(A, C) with Phi = [[A, C], [C^T, 0]] once mode `last` is moved
-        last: A couples the other two modes a < b, C is their block against
-        `last`. C is C-ordered even when it stacks two transposes, so its
-        BLAS products round alike whichever mode is last."""
-        a, b = (m for m in (1, 2, 3) if m != last)
-        na = self.shape.dim(a)
-        A = np.zeros((na + self.shape.dim(b),) * 2)
+    def split(self):
+        """(rest, big, A, C) with Phi = [[A, C], [C^T, 0]] once its largest
+        mode L (the first of equal ones) is moved last: A couples the other
+        two modes a < b, C is their block against L, and rest and big index
+        their entries and L's in a vector of length N. C is C-ordered even
+        when it stacks two transposes, so its BLAS products round alike
+        whichever mode is L."""
+        dims = self.shape.dims
+        L = int(np.argmax(dims)) + 1
+        a, b = (m for m in (1, 2, 3) if m != L)
+        lo = np.cumsum((0,) + dims)
+        rest, big = np.r_[0 : lo[L - 1], lo[L] : lo[3]], slice(lo[L - 1], lo[L])
+        na = dims[a - 1]
+        A = np.zeros((rest.size,) * 2)
         A[:na, na:], A[na:, :na] = self.block(a, b), self.block(b, a)
-        return A, np.ascontiguousarray(np.vstack([self.block(a, last), self.block(b, last)]))
+        return rest, big, A, np.ascontiguousarray(
+            np.vstack([self.block(a, L), self.block(b, L)]))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Phi @ x for x of length N."""
@@ -99,23 +106,21 @@ class PhiMatrix:
 
     @cached_property
     def _largest_split(self):
-        """(L, A, C, C C^T), read-only, for L the largest mode (the first of
-        equal ones) and (A, C) = split(L): what every resolvent_solve
-        eliminates. The eigensolve splits on its own, so a Phi that is only
-        eigensolved (Phi0) keeps no second copy of its blocks."""
-        L = int(np.argmax(self.shape.dims)) + 1
-        A, C = self.split(L)
+        """split() and G = C C^T, read-only: what the shifted solve and the
+        certificate eliminate. The eigensolve splits on its own, so a Phi
+        that is only eigensolved (Phi0) keeps no second copy of its blocks."""
+        rest, big, A, C = self.split()
         G = C @ C.T
-        for arr in (A, C, G):
+        for arr in (rest, A, C, G):
             arr.flags.writeable = False
-        return L, A, C, G
+        return rest, big, A, C, G
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending and read-only: the one eigensolve that
         the spectrum, the structural checks and the resolvent share.
 
-        With L the largest mode and m = N - n_L, split(L) gives
+        With L the largest mode and m = N - n_L, split() gives
         Phi = [[A, C], [C^T, 0]] up to a permutation. With C^T = Q r (r is
         k x m, k = min(n_L, m)), the orthogonal change of basis
         diag(I, [Q, Q_perp]) takes Phi to the core [[A, r^T], [r, 0]] padded
@@ -123,7 +128,7 @@ class PhiMatrix:
         a core of size m + k, and the other n_L - k eigenvalues are exact
         zeros.
         """
-        A, C = self.split(int(np.argmax(self.shape.dims)) + 1)
+        _, _, A, C = self.split()
         r = np.linalg.qr(C.T, mode="r")
         k = r.shape[0]
         core = np.block([[A, r.T], [r, np.zeros((k, k))]])
@@ -133,14 +138,43 @@ class PhiMatrix:
         return vals
 
 
-def _solve_zero_block(A, C, G, s, b1, b2):
-    """(q1, q2) for ([[A, C], [C^T, 0]] - s I) [q1; q2] = [b1; b2], s != 0,
-    G = C C^T. The zero block's rows give q2 = (C^T q1 - b2) / s, so q1
-    solves (A - s I + G / s) q1 = b1 + C b2 / s, of the first block's size."""
+def _shifted_solve(phi: PhiMatrix, s: float, rhs: np.ndarray) -> np.ndarray:
+    """q for (Phi - s I) q = rhs, s != 0, with Phi's largest zero diagonal
+    block eliminated (_largest_split): its rows give q_L = (C^T q_r - rhs_L) / s,
+    so the rest q_r solves K q_r = rhs_r + C rhs_L / s, K = A - s I + C C^T / s,
+    a dense solve of size N - n_L."""
+    rest, big, A, C, G = phi._largest_split
     K = A + G / s
     K.flat[:: K.shape[0] + 1] -= s
-    q1 = np.linalg.solve(K, b1 + C @ b2 / s)
-    return q1, (C.T @ q1 - b2) / s
+    q1 = np.linalg.solve(K, rhs[rest] + C @ rhs[big] / s)
+    q = np.empty_like(rhs)
+    q[rest], q[big] = q1, (C.T @ q1 - rhs[big]) / s
+    return q
+
+
+def _certified(phi: PhiMatrix, sigma: float, s: float, x: np.ndarray) -> bool:
+    """Whether s I - Phi + 2 sigma z z^T, z = x / sqrt(3), is positive
+    definite (np.linalg.cholesky), for s > 0 and x = [u; v; w] of unit blocks.
+
+    At s = sigma + mu it admits the Newton step's shift mu. At s = sigma and
+    a critical point, Phi's eigenvalue 2 sigma on z turns into sigma and its
+    -sigma pair into 2 sigma, so the matrix is positive definite exactly when
+    Phi < sigma on the tangent space of the three spheres: a strict local
+    maximum (Lim 2005). With the block of _shifted_solve eliminated,
+    T = [[I, C / s], [0, I]] takes s I - Phi to diag(-K, s I) and adds
+    c y y^T, c = 2 sigma / 3, y = T x; since x_L is a unit vector, the Schur
+    complement is -K + c s / (s + c) y_r y_r^T.
+    """
+    rest, big, A, C, G = phi._largest_split
+    c = 2.0 * sigma / 3.0
+    y = x[rest] + C @ x[big] / s
+    S = np.multiply.outer(c * s / (s + c) * y, y) - A - G / s
+    S.flat[:: S.shape[0] + 1] += s
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _frozen_phi(b12, b13, b23) -> PhiMatrix:
@@ -276,12 +310,15 @@ def eigen_spectrum(phi: PhiMatrix) -> SpectrumResult:
 def check_structural_eigenpairs(
     phi: PhiMatrix, cp, tol: float = 1e-8
 ) -> StructuralReport:
-    """Verify the three structural facts about the spectrum of Phi.
+    """Verify the structural facts about the spectrum of Phi, in four checks.
 
     (1) [u; v; w] is an eigenvector with eigenvalue 2 sigma;
     (2) [u; -v; 0] and [u; 0; -w] are mapped to -sigma times themselves;
-    (3) the eigenvalue nearest 2 sigma is 2 sigma and every other one lies
-        in [-sigma, sigma], up to tol.
+    (3), (4) the eigenvalue nearest 2 sigma is 2 sigma, and every other one
+        is at most sigma (the upper side of the bulk, which is the solver's
+        local-maximum certificate) and at least -sigma (the lower side), up
+        to tol. Each side needs the first part: the bulk is every eigenvalue
+        but the one that stands for 2 sigma.
     """
     sigma = cp.sigma
     u, v, w = cp.u, cp.v, cp.w
@@ -301,14 +338,15 @@ def check_structural_eigenpairs(
     # one must lie in [-sigma, sigma].
     vals = phi.eigenvalues
     top = int(np.argmin(np.abs(vals - 2.0 * sigma)))
-    excess = np.abs(vals) - sigma
-    excess[top] = abs(vals[top] - 2.0 * sigma)
-    r3 = float(max(0.0, np.max(excess)))
+    bulk, offset = np.delete(vals, top), abs(float(vals[top]) - 2.0 * sigma)
+    r3 = max(offset, float(bulk[-1]) - sigma)
+    r4 = max(offset, -sigma - float(bulk[0]))
 
     checks = (
         CheckItem("eigenpair_2sigma", r1 <= tol, r1, tol),
         CheckItem("eigenspace_minus_sigma", r2 <= tol, r2, tol),
-        CheckItem("bulk_bounded_by_sigma", r3 <= tol, r3, tol),
+        CheckItem("bulk_at_most_sigma", r3 <= tol, r3, tol),
+        CheckItem("bulk_at_least_minus_sigma", r4 <= tol, r4, tol),
     )
     return StructuralReport(checks)
 
@@ -341,10 +379,8 @@ def spike_decomposition_residual(
 
 
 def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
-    """Solve (Phi - sigma I) q = rhs with Phi's largest zero diagonal block
-    eliminated (_solve_zero_block on the split of the largest mode, which
-    Phi caches with C C^T for every call), as the Newton step eliminates
-    the w block.
+    """Solve (Phi - sigma I) q = rhs by _shifted_solve, the elimination of
+    Phi's largest zero diagonal block that the Newton step also uses.
 
     Refuses when sigma sits within GAP_TOL of an eigenvalue of Phi's
     cached spectrum, or of 0, by which the elimination divides.
@@ -357,12 +393,7 @@ def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue or of 0"
         )
-    L, A, C, G = phi._largest_split
-    lo = np.cumsum((0,) + phi.shape.dims)
-    rest, big = np.r_[0 : lo[L - 1], lo[L] : lo[3]], slice(lo[L - 1], lo[L])
-    q = np.empty_like(rhs)
-    q[rest], q[big] = _solve_zero_block(A, C, G, sigma, rhs[rest], rhs[big])
-    return q
+    return _shifted_solve(phi, sigma, rhs)
 
 
 def predict_factor_derivative(

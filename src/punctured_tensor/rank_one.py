@@ -15,6 +15,9 @@ space of the three spheres, so steps climb from far out, and a step is
 judged by its gain in sigma alone, as in a trust-region ascent (Absil,
 Baker & Gallivan 2007; More & Sorensen 1983). A point is returned only once
 certified a local maximum: Phi < sigma on that tangent space (Lim 2005).
+The step and the certificate are phi_spectrum's, the one elimination of
+Phi's largest zero diagonal block that the resolvent also uses: a dense
+solve of size N - n_L, with n_L the largest mode.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_spectrum import _frozen_phi, _solve_zero_block
+from .phi_spectrum import _certified, _frozen_phi, _shifted_solve
 from .tensor_core import (
     DimensionMismatchError,
     SignalTriple,
@@ -84,12 +87,11 @@ def _normalize(vec, what: str) -> tuple[np.ndarray, float]:
     return vec / n, float(n)
 
 
-def _residual_max(M3, M1, sigma, u, v, w):
-    """Max-norm first-order defect from M3 = tm(:, :, w) and M1 = tm(u, :, :)."""
-    r1 = np.max(np.abs(M3 @ v - sigma * u))
-    r2 = np.max(np.abs(M3.T @ u - sigma * v))
-    r3 = np.max(np.abs(M1.T @ v - sigma * w))
-    return max(r1, r2, r3)
+def _defect(M3, M1, sigma, u, v, w):
+    """The first-order defect r = Phi x / 2 - sigma x at x = [u; v; w], from
+    M3 = tm(:, :, w) and M1 = tm(u, :, :); its max-norm is the residual."""
+    return np.concatenate(
+        [M3 @ v - sigma * u, M3.T @ u - sigma * v, M1.T @ v - sigma * w])
 
 
 def _initial_factors(tm: Tensor3, cfg: SolverConfig):
@@ -102,83 +104,46 @@ def _initial_factors(tm: Tensor3, cfg: SolverConfig):
     )
 
 
-def _phi_blocks(tm, v, M3, M1):
-    """(A, B, B B^T) for Phi = [[A, B], [B^T, 0]], the w block last:
-    A = [[0, M3], [M3^T, 0]], B = [tm(:, v, :); tm(u, :, :)] (one pass).
-    M3 and M1 are the solver's own, so Phi takes them without a copy."""
-    A, B = _frozen_phi(M3, contract_one(tm, 2, v), M1).split(3)
-    return A, B, B @ B.T
-
-
-def _newton_step(blocks, M1, sigma, s, u, v, w):
-    """x + delta for (Phi - s I) delta = -r, r = Phi x / 2 - sigma x the
-    first-order defect at x = [u; v; w]; blocks = _phi_blocks(...)."""
-    A, B, G = blocks
-    p = np.concatenate([u, v])
-    d, e = _solve_zero_block(A, B, G, s, sigma * p - A @ p, sigma * w - M1.T @ v)
-    n1 = u.size
-    return u + d[:n1], v + d[n1:], w + e
-
-
-def _certified(blocks, sigma, s, u, v, w) -> bool:
-    """Whether C = s I - Phi + 2 sigma z z^T, z = [u; v; w] / sqrt(3), is
-    positive definite (np.linalg.cholesky), blocks = _phi_blocks(...).
-
-    At s = sigma + mu it admits the shift mu. At s = sigma and a critical
-    point, Phi's eigenvalue 2 sigma on z turns into sigma in C and its
-    -sigma pair into 2 sigma, so C is positive definite exactly when Phi <
-    sigma on the tangent space: a strict local maximum (Lim 2005). With
-    T = [[I, B / s], [0, I]], T (s I - Phi) T^T = diag(-K, s I) for the
-    step's K = A - s I + B B^T / s, and T C T^T adds c y y^T, c = 2 sigma / 3,
-    y = T [u; v; w]; its Schur complement is -K + c s / (s + c) y_uv y_uv^T.
-    """
-    A, B, G = blocks
-    c = 2.0 * sigma / 3.0
-    y = np.concatenate([u, v]) + B @ w / s
-    S = np.multiply.outer(c * s / (s + c) * y, y) - A - G / s
-    S.flat[:: S.shape[0] + 1] += s
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _newton_finish(tm, point, tol, passes, mono_slack):
     """Shifted Newton steps from point, a power-sweep state
-    (sigma, u, v, w, M3, M1, residual), within a budget of tensor passes.
+    (sigma, u, v, w, M3, M1, r) with r = _defect(M3, M1, sigma, u, v, w),
+    within a budget of tensor passes.
 
-    A step at s = sigma + mu needs _certified to admit s; a refused shift
-    or a rejected step sets mu to max(4 mu, 1e-3 sigma). A step is kept if
-    sigma does not decrease (within mono_slack), whatever the residual does
-    (far from a critical point a climbing step may raise it); mu then falls
-    to mu / 4, or to 0 below 1e-6 sigma. A kept point with max-norm
-    residual at most tol is returned once certified (s = sigma). A step
-    makes two passes and a kept point, as the start, one more; a step is
-    taken only with room for Phi at its point. Returns (point, steps
-    taken); point is None if the passes run out.
+    A step at s = sigma + mu solves (Phi - s I) delta = -r by the shared
+    elimination of Phi's largest zero block and renormalizes each block of
+    x + delta; it needs the certificate to admit s. A refused shift or a
+    rejected step sets mu to max(4 mu, 1e-3 sigma). A step is kept if sigma
+    does not decrease (within mono_slack), whatever the residual does (far
+    from a critical point a climbing step may raise it); mu then falls to
+    mu / 4, or to 0 below 1e-6 sigma. A kept point with max-norm residual at
+    most tol is returned once certified (s = sigma). A step makes two passes
+    and a kept point, as the start, one more, for its Phi; a step is taken
+    only with room for Phi at its point. Returns (point, steps taken); point
+    is None if the passes run out.
     """
     if passes < 1:
         return None, 0  # no pass for Phi, which the certificate needs
-    sigma, u, v, w, M3, M1, residual = point
-    blocks, used, steps, mu = _phi_blocks(tm, v, M3, M1), 1, 0, 0.0
+    sigma, u, v, w, M3, M1, r = point
+    x, blocks = np.concatenate([u, v, w]), np.cumsum(tm.shape.dims[:2])
+    phi, used, steps, mu = _frozen_phi(M3, contract_one(tm, 2, v), M1), 1, 0, 0.0
     while True:
-        if residual <= tol:
-            if _certified(blocks, sigma, sigma, u, v, w):
-                return (sigma, u, v, w, M3, M1, residual), steps
+        if np.max(np.abs(r)) <= tol:
+            if _certified(phi, sigma, sigma, x):
+                return (sigma, u, v, w, M3, M1, r), steps
             mu = mu or 1e-3 * sigma  # the certificate refused mu = 0
         if used + 3 > passes:
             return None, steps  # no room for a step and Phi at its point
-        if _certified(blocks, sigma, sigma + mu, u, v, w):
-            x = _newton_step(blocks, M1, sigma, sigma + mu, u, v, w)
-            u1, v1, w1 = (_normalize(f, "Newton step")[0] for f in x)
+        if _certified(phi, sigma, sigma + mu, x):
+            step = x + _shifted_solve(phi, sigma + mu, -r)
+            u1, v1, w1 = (_normalize(f, "Newton step")[0] for f in np.split(step, blocks))
             M3n, M1n = contract_one(tm, 3, w1), contract_one(tm, 1, u1)
             sigma1 = float(v1 @ (M1n @ w1))
-            residual1 = _residual_max(M3n, M1n, sigma1, u1, v1, w1)
+            r1 = _defect(M3n, M1n, sigma1, u1, v1, w1)
             steps, used = steps + 1, used + 2
             if sigma1 >= sigma - mono_slack * max(1.0, sigma):
-                sigma, u, v, w, M3, M1, residual = sigma1, u1, v1, w1, M3n, M1n, residual1
-                blocks, used = _phi_blocks(tm, v, M3, M1), used + 1
+                sigma, u, v, w, M3, M1, r = sigma1, u1, v1, w1, M3n, M1n, r1
+                x = np.concatenate([u, v, w])
+                phi, used = _frozen_phi(M3, contract_one(tm, 2, v), M1), used + 1
                 mu = mu / 4.0 if mu >= 4e-6 * sigma else 0.0
                 continue
         mu = max(4.0 * mu, 1e-3 * sigma)  # a refused shift or a rejected step
@@ -215,21 +180,21 @@ def solve_critical_point(tm: Tensor3, cfg: SolverConfig) -> CriticalPoint:
     M1 = contract_one(tm, 1, u)
     w, sigma = _normalize(M1.T @ v, "contraction while updating w")
     M3 = contract_one(tm, 3, w)
-    residual = _residual_max(M3, M1, sigma, u, v, w)
+    r = _defect(M3, M1, sigma, u, v, w)
     point, newton_steps = _newton_finish(
-        tm, (sigma, u, v, w, M3, M1, residual), cfg.tol,
-        2 * (cfg.max_iter - 1), mono_slack)
+        tm, (sigma, u, v, w, M3, M1, r), cfg.tol, 2 * (cfg.max_iter - 1), mono_slack)
     if point is None:
+        residual = float(np.max(np.abs(r)))
         raise ConvergenceError(
             f"no certified point within {2 * cfg.max_iter + 1} tensor passes "
             f"(max_iter {cfg.max_iter}; residual {residual:.3e})",
             residual=residual,
         )
-    sigma, u, v, w, _, _, residual = point
+    sigma, u, v, w, _, _, r = point
     if cfg.reference is not None and float(cfg.reference.x @ u) < 0:
         u, v = -u, -v  # flipping a pair preserves the fixed point
-    return CriticalPoint(sigma, u, v, w, residual=residual, iterations=1,
-                         newton_steps=newton_steps)
+    return CriticalPoint(sigma, u, v, w, residual=float(np.max(np.abs(r))),
+                         iterations=1, newton_steps=newton_steps)
 
 
 def _unit_columns(X: np.ndarray):
@@ -304,7 +269,7 @@ def first_order_residual(tm: Tensor3, cp: CriticalPoint) -> float:
     """Max-norm residual of the first-order conditions at (sigma, u, v, w)."""
     u, v, w = check_factors(tm.shape, (cp.u, cp.v, cp.w))
     M3, M1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
-    return float(_residual_max(M3, M1, cp.sigma, u, v, w))
+    return float(np.max(np.abs(_defect(M3, M1, cp.sigma, u, v, w))))
 
 
 def alignments(cp: CriticalPoint, signal: SignalTriple) -> tuple[float, float, float]:

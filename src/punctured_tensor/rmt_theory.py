@@ -104,7 +104,6 @@ class SpikePrediction:
     q1: float
     q2: float
     q3: float
-    m_at_sigma: tuple | None
     feasible: bool
     residual: float = 0.0
 
@@ -113,7 +112,7 @@ class SpikePrediction:
         return (self.q1, self.q2, self.q3)
 
 
-INFEASIBLE = SpikePrediction(math.nan, 0.0, 0.0, 0.0, None, False)
+INFEASIBLE = SpikePrediction(math.nan, 0.0, 0.0, 0.0, False)
 
 def _residual(z, c, eps, m):
     """Largest |eps*m_l*o_l + z*m_l + c_l|, o_l the sum of the other modes.
@@ -401,7 +400,7 @@ def solve_spike(p: ModelParams) -> SpikePrediction:
     sigma, m, q = _branch_at(A, c, eps)
     r1, r2, r3 = (math.sqrt(1.0 - eps * ml * ml / cl) for ml, cl in zip(m, c))
     residual = sigma + eps * (m[0] + m[1] + m[2]) - eps * beta * r1 * r2 * r3
-    return SpikePrediction(sigma, *q, m, True, residual=abs(residual))
+    return SpikePrediction(sigma, *q, True, residual=abs(residual))
 
 
 def beta_threshold(p: ModelParams, tol: float = 1e-9) -> float:

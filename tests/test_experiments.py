@@ -339,10 +339,11 @@ class TestRunEpsilonSweep:
         assert abs(float(agg["emp_sigma_std"]) - np.std(sigmas)) < 1e-10
 
     def test_rejects_epsilon_out_of_range(self, tmp_path):
-        cfg = ExperimentConfig(
-            shape=Shape3(6, 6, 6), epsilon_grid=(0.0, 0.5), trials=1, out=tmp_path
-        )
+        # The config refuses the grid when it is built, before any sweep.
         with pytest.raises(ValueError):
+            cfg = ExperimentConfig(
+                shape=Shape3(6, 6, 6), epsilon_grid=(0.0, 0.5), trials=1, out=tmp_path
+            )
             run_epsilon_sweep(cfg)
 
 
@@ -577,6 +578,26 @@ class TestCli:
         assert main(argv + ["--shape", "6,6,6", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["esd", "--epsilon", "0"],
+        ["density", "--epsilon", "0"],
+        ["spike-curve", "--epsilon", "0", "--beta-grid", "1,2"],
+        ["epsilon-sweep", "--epsilon", "0", "--epsilon-grid", "0.5"],
+        ["epsilon-sweep", "--epsilon-grid", "0,0.5"],
+        ["validate", "--epsilon", "0"],
+        ["derivative-check", "--epsilon", "0"],
+    ], ids=["esd", "density", "spike-curve", "epsilon-sweep", "epsilon-sweep-grid",
+            "validate", "derivative-check"])
+    def test_epsilon_zero_is_a_config_error(self, tmp_path, capsys, argv):
+        # epsilon = 0 keeps no entry; every subcommand refuses it, as a flag
+        # or a grid value, when the config is built: exit 1 and a message,
+        # and no output.
+        out = tmp_path / "run"
+        assert main(argv + ["--shape", "6,6,6", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "epsilon 0.0 outside (0, 1]" in err
+        assert not out.exists()
 
     def test_missing_epsilon_grid(self, tmp_path, capsys):
         assert main(["epsilon-sweep", "--shape", "6,6,6", "--out", str(tmp_path)]) == 1

@@ -238,7 +238,7 @@ class TestEigenSpectrum:
     def test_reduced_core_matches_dense(self, dims, eps, rank, seed):
         # Random blocks, with each mode as the largest and cube shapes. With
         # `rank` set, the blocks between the largest mode L and the rest are a
-        # rank-`rank` product, so C of split(L) is rank deficient at every
+        # rank-`rank` product, so C of split() is rank deficient at every
         # shape. Matrix-vector products are checked on a unit vector.
         sh = Shape3(*dims)
         N, n_L = sh.N, max(dims)
@@ -299,23 +299,24 @@ class TestStructuralEigenpairs:
     def test_loose_point_keeps_its_top_eigenvalue_out(self, seed):
         # After five power sweeps (first-order residual 5.8e-4 and 2.6e-4)
         # the eigenvalue nearest 2 sigma misses 2 sigma by more than
-        # tol * max(1, 2 sigma). It still stands for 2 sigma: the bulk
-        # residual is that offset, bounded by the point's own eigenpair
-        # defect, not about sigma.
+        # tol * max(1, 2 sigma). It still stands for 2 sigma: the residual of
+        # either side of the bulk is that offset, bounded by the point's own
+        # eigenpair defect, not about sigma.
         tm, sig, _ = _instance(Shape3(15, 18, 21), 4.0, 0.5, seed)
         cp = _power_sweeps(tm, sig, 5)
         phi = build_phi(tm, cp.u, cp.v, cp.w)
         offset = float(np.min(np.abs(phi.eigenvalues - 2.0 * cp.sigma)))
         assert offset > 1e-8 * max(1.0, 2.0 * cp.sigma)
-        r1, _, r3 = (c.residual for c in check_structural_eigenpairs(phi, cp).checks)
+        r1, _, r3, r4 = (c.residual for c in check_structural_eigenpairs(phi, cp).checks)
         assert r3 == pytest.approx(offset, rel=1e-12)
         assert r3 <= r1 / np.sqrt(3.0)
+        assert r4 == r3
 
     def test_second_eigenvalue_near_two_sigma_fails(self):
         # Phi of an exact rank-one tensor at its planted point, plus a coupling
-        # of the tangent directions a (mode 1) and b (mode 2) with eigenvalue
-        # 2 sigma (1 - 1e-10): within tol of 2 sigma, but a second one. Only
-        # the bulk check fails.
+        # of the tangent directions a (mode 1) and b (mode 2) with eigenvalues
+        # +-2 sigma (1 - 1e-10): within tol of 2 sigma, but a second one, and
+        # its mirror below -sigma. Only the bulk checks fail, on both sides.
         sh = Shape3(4, 5, 6)
         sig = SignalTriple.random(sh, 3.0, RngSeed(7))
         t = Tensor3(3.0 * np.einsum("i,j,k->ijk", sig.x, sig.y, sig.z))
@@ -329,8 +330,10 @@ class TestStructuralEigenpairs:
         c = 2.0 * cp.sigma * (1.0 - 1e-10)
         b12 = phi.b12 + c * np.outer(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
         report = check_structural_eigenpairs(PhiMatrix(b12, phi.b13, phi.b23), cp, tol=1e-8)
-        assert [c.name for c in report.failures()] == ["bulk_bounded_by_sigma"]
+        assert [c.name for c in report.failures()] == [
+            "bulk_at_most_sigma", "bulk_at_least_minus_sigma"]
         assert report.checks[2].residual == pytest.approx(cp.sigma, rel=1e-9)
+        assert report.checks[3].residual == pytest.approx(cp.sigma, rel=1e-9)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
@@ -340,8 +343,9 @@ class TestStructuralEigenpairs:
         seed=st.integers(0, 2**16),
     )
     def test_holds_over_box(self, dims, eps, beta, seed):
-        # Small skewed instances solved from the planted start: all three
-        # checks pass, and a sigma offset by 1e-3 fails every one of them.
+        # Small skewed instances solved from the planted start: all four
+        # checks pass, and a sigma offset by 1e-3 fails every one of them
+        # (each side of the bulk needs the top eigenvalue at 2 sigma).
         tm, _, cp = _instance(Shape3(*dims), beta, eps, seed)
         phi = build_phi(tm, cp.u, cp.v, cp.w)
         report = check_structural_eigenpairs(phi, cp, tol=1e-8)

@@ -25,6 +25,7 @@ from punctured_tensor import (
     solve_critical_point,
 )
 from punctured_tensor import puncture, rank_one
+from punctured_tensor.phi_spectrum import _certified, _shifted_solve
 from punctured_tensor.experiments import ExperimentConfig, _draw, _signal
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
@@ -429,7 +430,7 @@ def _tangent_top(tm, cp):
 
 def _sweeps(tm, sig, count):
     """The solver's state after `count` power sweeps from the planted start:
-    (sigma, u, v, w, tm(:, :, w), tm(u, :, :), residual)."""
+    (sigma, u, v, w, tm(:, :, w), tm(u, :, :), r), r the first-order defect."""
     u, v, w = sig.x, sig.y, sig.z
     for _ in range(count):
         M3 = contract_one(tm, 3, w)
@@ -440,67 +441,75 @@ def _sweeps(tm, sig, count):
         sigma = float(np.linalg.norm(w))
         w = w / sigma
     M3 = contract_one(tm, 3, w)
-    residual = first_order_residual(tm, CriticalPoint(sigma, u, v, w))
-    return (sigma, u, v, w, M3, M1, residual)
+    return (sigma, u, v, w, M3, M1, rank_one._defect(M3, M1, sigma, u, v, w))
+
+
+def _factors(tm, x):
+    """[u; v; w] split into its three factors."""
+    return np.split(x, np.cumsum(tm.shape.dims[:2]))
 
 
 def _saddle():
     """(tm, signal, three sweeps' state, saddle state) at 13x20x15, eps 0.2,
     beta 3, seed 20: from the planted start, three power sweeps and then
     eight unshifted Newton steps reach a saddle, sigma 0.78480. A state is
-    (sigma, u, v, w, tm(:, :, w), tm(u, :, :), residual)."""
+    (sigma, u, v, w, tm(:, :, w), tm(u, :, :), r), as _sweeps gives it."""
     tm, _, _, sig = _masked_instance(Shape3(13, 20, 15), 3.0, 0.2, 20)
     start = _sweeps(tm, sig, 3)
-    sigma, u, v, w, M3, M1, _ = start
+    sigma, u, v, w, M3, M1, r = start
     for _ in range(8):
-        blocks = rank_one._phi_blocks(tm, v, M3, M1)
-        x = rank_one._newton_step(blocks, M1, sigma, sigma, u, v, w)
-        u, v, w = (f / np.linalg.norm(f) for f in x)
+        x = np.concatenate([u, v, w]) + _shifted_solve(build_phi(tm, u, v, w), sigma, -r)
+        u, v, w = (f / np.linalg.norm(f) for f in _factors(tm, x))
         M3, M1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
         sigma = float(v @ (M1 @ w))
-    residual = first_order_residual(tm, CriticalPoint(sigma, u, v, w))
-    return tm, sig, start, (sigma, u, v, w, M3, M1, residual)
+        r = rank_one._defect(M3, M1, sigma, u, v, w)
+    return tm, sig, start, (sigma, u, v, w, M3, M1, r)
 
 
 class TestNewtonFinish:
     def test_step_matches_dense_solve(self):
-        # The step eliminates the w block; it equals x + delta for the dense
-        # solve of (Phi - s I) delta = -r, unshifted (s = sigma) and shifted.
-        tm, _, _, sig = _masked_instance(Shape3(7, 9, 11), 2.0, 0.6, 3)
-        sigma, u, v, w, M3, M1, _ = _sweeps(tm, sig, 3)
-        x = np.concatenate([u, v, w])
-        phi = dense(build_phi(tm, u, v, w))
-        # Phi x / 2 = [tm(:, v, w); tm(u, :, w); tm(u, v, :)].
-        r = phi @ x / 2.0 - sigma * x
-        blocks = rank_one._phi_blocks(tm, v, M3, M1)
-        for s in (sigma, 1.001 * sigma, 1.3 * sigma):
-            want = x + np.linalg.solve(phi - s * np.eye(x.size), -r)
-            got = np.concatenate(rank_one._newton_step(blocks, M1, sigma, s, u, v, w))
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # The step x + _shifted_solve(Phi, s, -r) from the solver's defect r
+        # eliminates Phi's largest block, here mode 1, 2 and 3 in turn and
+        # mode 1 of a cube; it equals x + delta for the dense solve of
+        # (Phi - s I) delta = -r, unshifted (s = sigma) and shifted.
+        for dims in ((11, 9, 7), (7, 11, 9), (7, 9, 11), (9, 9, 9)):
+            tm, _, _, sig = _masked_instance(Shape3(*dims), 2.0, 0.6, 3)
+            sigma, u, v, w, _, _, r_solver = _sweeps(tm, sig, 3)
+            x = np.concatenate([u, v, w])
+            phi = dense(build_phi(tm, u, v, w))
+            # Phi x / 2 = [tm(:, v, w); tm(u, :, w); tm(u, v, :)].
+            r = phi @ x / 2.0 - sigma * x
+            assert np.max(np.abs(r_solver - r)) <= 1e-14 * np.max(np.abs(phi))
+            for s in (sigma, 1.001 * sigma, 1.3 * sigma):
+                want = x + np.linalg.solve(phi - s * np.eye(x.size), -r)
+                got = x + _shifted_solve(build_phi(tm, u, v, w), s, -r_solver)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_certificate_matches_dense(self, seed):
-        # The Schur complement on the w block is positive definite exactly
-        # when s I - Phi + 2 sigma z z^T is, z = [u; v; w] / sqrt(3): at
-        # converged points and at sigma moved by +-10%, unshifted (s = sigma)
-        # and shifted by +-10% of sigma.
+        # The Schur complement on Phi's largest block is positive definite
+        # exactly when s I - Phi + 2 sigma z z^T is, z = [u; v; w] / sqrt(3):
+        # at converged points and at sigma moved by +-10%, unshifted
+        # (s = sigma) and shifted by +-10% of sigma. The seeds' shapes have
+        # mode 1 (seeds 0, 2, 3), mode 2 (4, 5) or mode 3 (1) largest; each
+        # seed also runs on a cube of its largest size.
         gen = np.random.default_rng(seed)
-        dims = tuple(int(n) for n in gen.integers(3, 15, size=3))
-        tm, _, _, _ = _masked_instance(Shape3(*dims), 1.0 + seed, 0.5, seed)
-        cp = solve_critical_point(
-            tm, SolverConfig(max_iter=100_000, factors=_random_start(dims, seed))
-        )
-        phi = dense(build_phi(tm, cp.u, cp.v, cp.w))
-        z = np.concatenate([cp.u, cp.v, cp.w]) / np.sqrt(3.0)
-        M3, M1 = contract_one(tm, 3, cp.w), contract_one(tm, 1, cp.u)
-        blocks = rank_one._phi_blocks(tm, cp.v, M3, M1)
-        for sigma in (cp.sigma, 0.9 * cp.sigma, 1.1 * cp.sigma):
-            for s in (sigma, 0.9 * sigma, 1.1 * sigma):
-                C = s * np.eye(z.size) - phi + 2.0 * sigma * np.outer(z, z)
-                lowest = float(np.min(np.linalg.eigvalsh(C)))
-                assert abs(lowest) > 1e-9 * sigma  # the sign is not a rounding
-                certified = rank_one._certified(blocks, sigma, s, cp.u, cp.v, cp.w)
-                assert certified == (lowest > 0.0)
+        drawn = tuple(int(n) for n in gen.integers(3, 15, size=3))
+        for dims in (drawn, (max(drawn),) * 3):
+            tm, _, _, _ = _masked_instance(Shape3(*dims), 1.0 + seed, 0.5, seed)
+            cp = solve_critical_point(
+                tm, SolverConfig(max_iter=100_000, factors=_random_start(dims, seed))
+            )
+            phi = build_phi(tm, cp.u, cp.v, cp.w)
+            P = dense(phi)
+            x = cp.stacked()
+            z = x / np.sqrt(3.0)
+            for sigma in (cp.sigma, 0.9 * cp.sigma, 1.1 * cp.sigma):
+                for s in (sigma, 0.9 * sigma, 1.1 * sigma):
+                    C = s * np.eye(z.size) - P + 2.0 * sigma * np.outer(z, z)
+                    lowest = float(np.min(np.linalg.eigvalsh(C)))
+                    assert abs(lowest) > 1e-9 * sigma  # the sign is not a rounding
+                    assert _certified(phi, sigma, s, x) == (lowest > 0.0)
 
     def test_certificate_refuses_a_saddle(self, monkeypatch):
         # From the planted start at 13x20x15, eps 0.2, beta 3, seed 20, three
@@ -510,23 +519,22 @@ class TestNewtonFinish:
         # return it. From the three sweeps' point the finish refuses the
         # shift 0 and climbs to the local maximum, sigma 0.80848, as does
         # the solve itself.
-        tm, sig, start, (sigma, u, v, w, M3, M1, residual) = _saddle()
+        tm, sig, start, (sigma, u, v, w, M3, M1, r) = _saddle()
         saddle = CriticalPoint(sigma, u, v, w)
-        assert residual <= 1e-12
+        assert first_order_residual(tm, saddle) <= 1e-12
         assert abs(saddle.sigma - 0.78480) < 1e-5
         assert _tangent_top(tm, saddle) > 1.01 * saddle.sigma
 
         seen = []
-        certified = rank_one._certified
 
-        def recorded(blocks, sigma, s, u, v, w):
-            ok = certified(blocks, sigma, s, u, v, w)
-            seen.append((CriticalPoint(sigma, u, v, w), s == sigma, ok))
+        def recorded(phi, sigma, s, x):
+            ok = _certified(phi, sigma, s, x)
+            seen.append((CriticalPoint(sigma, *_factors(tm, x)), s == sigma, ok))
             return ok
 
         monkeypatch.setattr(rank_one, "_certified", recorded)
         point, steps = rank_one._newton_finish(
-            tm, (sigma, u, v, w, M3, M1, residual), 1e-12, 30, 1e-13)
+            tm, (sigma, u, v, w, M3, M1, r), 1e-12, 30, 1e-13)
         assert point is None and 0 < steps <= 14  # 1 + 2 per step <= 30
         refused, unshifted, ok = seen[0]
         assert refused.sigma == saddle.sigma and unshifted and not ok
@@ -542,30 +550,33 @@ class TestNewtonFinish:
     def test_finish_climbs_off_the_saddle(self):
         # A step is kept when sigma does not fall, whatever the residual
         # does: from the saddle, 200 passes suffice to climb to a certified
-        # local maximum above it, sigma 0.79655.
+        # local maximum above it, sigma 0.80848. Which maximum is reached
+        # from an exact saddle is decided by rounding: moving u by 1e-15
+        # sends the finish to this one or to sigma 0.79655.
         tm, _, _, saddle = _saddle()
         point, steps = rank_one._newton_finish(tm, saddle, 1e-12, 200, 1e-13)
         assert point is not None and 0 < steps <= (200 - 1) // 2
-        sigma, u, v, w, _, _, residual = point
+        sigma, u, v, w, _, _, r = point
         cp = CriticalPoint(sigma, u, v, w)
-        assert sigma > saddle[0] and abs(sigma - 0.79655) < 1e-5
-        assert residual <= 1e-12 and first_order_residual(tm, cp) <= 1e-12
+        assert sigma > saddle[0] and abs(sigma - 0.80848) < 1e-5
+        assert np.max(np.abs(r)) <= 1e-12 and first_order_residual(tm, cp) <= 1e-12
         assert _tangent_top(tm, cp) < sigma
 
     def test_kept_step_may_raise_the_residual(self, monkeypatch):
-        # The certificate is asked at every point the finish keeps, so the
-        # points it sees in turn are the kept ones. On the seed-21 crawl at
-        # least one kept step more than doubles the max-norm residual, and
-        # sigma never falls from one kept point to the next.
+        # The certificate is asked at every point the finish keeps, with the
+        # Phi built at that point, so the points it sees under a new Phi are
+        # the kept ones. On the seed-21 crawl at least one kept step more
+        # than doubles the max-norm residual, and sigma never falls from one
+        # kept point to the next.
         (_, tm, cfg, _), = (c for c in TestPolishReusesContractions()._cases()
                             if c[0] == "crawl")
-        kept = []
-        certified = rank_one._certified
+        phis, kept = [], []
 
-        def recorded(blocks, sigma, s, u, v, w):
-            if not kept or kept[-1].u is not u:
-                kept.append(CriticalPoint(sigma, u, v, w))
-            return certified(blocks, sigma, s, u, v, w)
+        def recorded(phi, sigma, s, x):
+            if not phis or phis[-1] is not phi:
+                phis.append(phi)
+                kept.append(CriticalPoint(sigma, *_factors(tm, x)))
+            return _certified(phi, sigma, s, x)
 
         monkeypatch.setattr(rank_one, "_certified", recorded)
         cp = solve_critical_point(tm, cfg)
@@ -599,10 +610,9 @@ class TestNewtonFinish:
         # The solver's certificate holds at the returned point, and so does
         # the upper side of the paper's bulk bound: every eigenvalue of Phi
         # but the one nearest 2 sigma is at most sigma.
-        M3, M1 = contract_one(tm, 3, cp.w), contract_one(tm, 1, cp.u)
-        blocks = rank_one._phi_blocks(tm, cp.v, M3, M1)
-        assert rank_one._certified(blocks, cp.sigma, cp.sigma, cp.u, cp.v, cp.w)
-        vals = build_phi(tm, cp.u, cp.v, cp.w).eigenvalues
+        phi = build_phi(tm, cp.u, cp.v, cp.w)
+        assert _certified(phi, cp.sigma, cp.sigma, cp.stacked())
+        vals = phi.eigenvalues
         bulk = np.delete(vals, np.argmin(np.abs(vals - 2.0 * cp.sigma)))
         assert np.max(bulk) <= cp.sigma * (1.0 + 1e-9)
 
