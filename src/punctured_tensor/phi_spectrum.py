@@ -4,14 +4,16 @@ Phi has zero diagonal blocks, so it is held as its three off-diagonal
 blocks: the one-mode contractions of the masked tensor on the critical-point
 factors. Its spectrum carries the structural eigenpairs (2 sigma, -sigma,
 -sigma) and the resolvent (Phi - sigma I)^-1 predicts how the factors react
-to a perturbation of a single noise entry.
+to a perturbation of a single noise entry. Phi - s I is solved by
+eliminating the largest zero diagonal block, laid out once per shape: the
+resolvent and rank_one's Newton finish share that solve and its certificate.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,28 +71,6 @@ class PhiMatrix:
     def shape(self) -> Shape3:
         return Shape3(*self.b12.shape, self.b23.shape[1])
 
-    def block(self, a: int, b: int) -> np.ndarray:
-        """The (a, b) block for modes a != b in 1..3."""
-        return getattr(self, f"b{a}{b}") if a < b else getattr(self, f"b{b}{a}").T
-
-    def split(self):
-        """(rest, big, A, C) with Phi = [[A, C], [C^T, 0]] once its largest
-        mode L (the first of equal ones) is moved last: A couples the other
-        two modes a < b, C is their block against L, and rest and big index
-        their entries and L's in a vector of length N. C is C-ordered even
-        when it stacks two transposes, so its BLAS products round alike
-        whichever mode is L."""
-        dims = self.shape.dims
-        L = int(np.argmax(dims)) + 1
-        a, b = (m for m in (1, 2, 3) if m != L)
-        lo = np.cumsum((0,) + dims)
-        rest, big = np.r_[0 : lo[L - 1], lo[L] : lo[3]], slice(lo[L - 1], lo[L])
-        na = dims[a - 1]
-        A = np.zeros((rest.size,) * 2)
-        A[:na, na:], A[na:, :na] = self.block(a, b), self.block(b, a)
-        return rest, big, A, np.ascontiguousarray(
-            np.vstack([self.block(a, L), self.block(b, L)]))
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Phi @ x for x of length N."""
         n1, n2, n3 = self.shape.dims
@@ -106,21 +86,20 @@ class PhiMatrix:
 
     @cached_property
     def _largest_split(self):
-        """split() and G = C C^T, read-only: what the shifted solve and the
-        certificate eliminate. The eigensolve splits on its own, so a Phi
-        that is only eigensolved (Phi0) keeps no second copy of its blocks."""
-        rest, big, A, C = self.split()
-        G = C @ C.T
-        for arr in (rest, A, C, G):
+        """_elimination of Phi, read-only, for resolvent_solve. The eigensolve
+        splits on its own and forms no C C^T, so a Phi that is only
+        eigensolved (Phi0) keeps no second copy of its blocks."""
+        elim = _elimination(self.b12, self.b13, self.b23)
+        for arr in elim[2:]:
             arr.flags.writeable = False
-        return rest, big, A, C, G
+        return elim
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """All eigenvalues, ascending and read-only: the one eigensolve that
         the spectrum, the structural checks and the resolvent share.
 
-        With L the largest mode and m = N - n_L, split() gives
+        With L the largest mode and m = N - n_L, _split gives
         Phi = [[A, C], [C^T, 0]] up to a permutation. With C^T = Q r (r is
         k x m, k = min(n_L, m)), the orthogonal change of basis
         diag(I, [Q, Q_perp]) takes Phi to the core [[A, r^T], [r, 0]] padded
@@ -128,22 +107,59 @@ class PhiMatrix:
         a core of size m + k, and the other n_L - k eigenvalues are exact
         zeros.
         """
-        _, _, A, C = self.split()
+        n_L = max(self.shape.dims)
+        k = min(n_L, self.shape.N - n_L)
+        _, _, core, C = _split(self.b12, self.b13, self.b23, k)
+        m = C.shape[0]
         r = np.linalg.qr(C.T, mode="r")
-        k = r.shape[0]
-        core = np.block([[A, r.T], [r, np.zeros((k, k))]])
+        core[:m, m:], core[m:, :m] = r.T, r
         vals = np.linalg.eigvalsh(core)
-        vals = np.sort(np.concatenate([vals, np.zeros(self.shape.N - A.shape[0] - k)]))
+        vals = np.sort(np.concatenate([vals, np.zeros(self.shape.N - m - k)]))
         vals.flags.writeable = False
         return vals
 
 
-def _shifted_solve(phi: PhiMatrix, s: float, rhs: np.ndarray) -> np.ndarray:
-    """q for (Phi - s I) q = rhs, s != 0, with Phi's largest zero diagonal
-    block eliminated (_largest_split): its rows give q_L = (C^T q_r - rhs_L) / s,
-    so the rest q_r solves K q_r = rhs_r + C rhs_L / s, K = A - s I + C C^T / s,
-    a dense solve of size N - n_L."""
-    rest, big, A, C, G = phi._largest_split
+@lru_cache(maxsize=64)  # bounded: validate draws a new shape per instance
+def _layout(dims):
+    """(L, rest, big) for Phi of shape dims: its largest mode L (the first of
+    equal ones), and where the other two modes' entries and L's sit in a
+    vector of length N. big is a slice, and so is rest unless L is mode 2;
+    then rest is a read-only index array."""
+    L = dims.index(max(dims)) + 1
+    n1, n12, N = dims[0], dims[0] + dims[1], sum(dims)
+    if L == 2:
+        rest = np.r_[0:n1, n12:N]
+        rest.flags.writeable = False
+    else:
+        rest = slice(n1, N) if L == 1 else slice(0, n12)
+    return L, rest, (slice(0, n1), slice(n1, n12), slice(n12, N))[L - 1]
+
+
+def _split(b12, b13, b23, pad=0):
+    """(rest, big, A, C) with Phi = [[A, C], [C^T, 0]] in _layout's order: A
+    couples the modes a < b other than L, and C stacks their blocks against
+    L in C order, so that its products round alike whichever mode L is. A is
+    the top left of a zeroed square buffer pad rows larger, returned whole."""
+    L, rest, big = _layout(b12.shape + b23.shape[1:])
+    ab, aL, bL = ((b23, b12.T, b13.T), (b13, b12, b23.T), (b12, b13, b23))[L - 1]
+    na, m = ab.shape[0], sum(ab.shape)
+    A, C = np.zeros((m + pad,) * 2), np.empty((m, aL.shape[1]))
+    A[:na, na:m], A[na:m, :na], C[:na], C[na:] = ab, ab.T, aL, bL
+    return rest, big, A, C
+
+
+def _elimination(b12, b13, b23):
+    """(rest, big, A, C, G = C C^T), what the shifted solve and certificate use."""
+    rest, big, A, C = _split(b12, b13, b23)
+    return rest, big, A, C, C @ C.T
+
+
+def _shifted_solve(elim, s: float, rhs: np.ndarray) -> np.ndarray:
+    """q for (Phi - s I) q = rhs, s != 0, from Phi's _elimination: the rows
+    of its zero block L give q_L = (C^T q_r - rhs_L) / s, so the rest q_r
+    solves K q_r = rhs_r + C rhs_L / s, K = A - s I + G / s, a dense solve
+    of size N - n_L."""
+    rest, big, A, C, G = elim
     K = A + G / s
     K.flat[:: K.shape[0] + 1] -= s
     q1 = np.linalg.solve(K, rhs[rest] + C @ rhs[big] / s)
@@ -152,7 +168,7 @@ def _shifted_solve(phi: PhiMatrix, s: float, rhs: np.ndarray) -> np.ndarray:
     return q
 
 
-def _certified(phi: PhiMatrix, sigma: float, s: float, x: np.ndarray) -> bool:
+def _certified(elim, sigma: float, s: float, x: np.ndarray) -> bool:
     """Whether s I - Phi + 2 sigma z z^T, z = x / sqrt(3), is positive
     definite (np.linalg.cholesky), for s > 0 and x = [u; v; w] of unit blocks.
 
@@ -160,12 +176,12 @@ def _certified(phi: PhiMatrix, sigma: float, s: float, x: np.ndarray) -> bool:
     a critical point, Phi's eigenvalue 2 sigma on z turns into sigma and its
     -sigma pair into 2 sigma, so the matrix is positive definite exactly when
     Phi < sigma on the tangent space of the three spheres: a strict local
-    maximum (Lim 2005). With the block of _shifted_solve eliminated,
+    maximum (Lim 2005). With elim, Phi's _elimination as in _shifted_solve,
     T = [[I, C / s], [0, I]] takes s I - Phi to diag(-K, s I) and adds
     c y y^T, c = 2 sigma / 3, y = T x; since x_L is a unit vector, the Schur
     complement is -K + c s / (s + c) y_r y_r^T.
     """
-    rest, big, A, C, G = phi._largest_split
+    rest, big, A, C, G = elim
     c = 2.0 * sigma / 3.0
     y = x[rest] + C @ x[big] / s
     S = np.multiply.outer(c * s / (s + c) * y, y) - A - G / s
@@ -393,7 +409,7 @@ def resolvent_solve(phi: PhiMatrix, sigma: float, rhs):
         raise SingularResolventError(
             f"sigma={sigma} is within {gap:.3e} of an eigenvalue or of 0"
         )
-    return _shifted_solve(phi, sigma, rhs)
+    return _shifted_solve(phi._largest_split, sigma, rhs)
 
 
 def predict_factor_derivative(

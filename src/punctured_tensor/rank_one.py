@@ -15,18 +15,19 @@ space of the three spheres, so steps climb from far out, and a step is
 judged by its gain in sigma alone, as in a trust-region ascent (Absil,
 Baker & Gallivan 2007; More & Sorensen 1983). A point is returned only once
 certified a local maximum: Phi < sigma on that tangent space (Lim 2005).
-The step and the certificate are phi_spectrum's, the one elimination of
-Phi's largest zero diagonal block that the resolvent also uses: a dense
-solve of size N - n_L, with n_L the largest mode.
+The step and the certificate are phi_spectrum's elimination of Phi's
+largest zero diagonal block (a dense solve of size N - n_L, n_L the largest
+mode), applied to the finish's own contractions without a PhiMatrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .phi_spectrum import _certified, _frozen_phi, _shifted_solve
+from .phi_spectrum import _certified, _elimination, _shifted_solve
 from .tensor_core import (
     DimensionMismatchError,
     SignalTriple,
@@ -81,10 +82,10 @@ class SolverConfig:
 
 
 def _normalize(vec, what: str) -> tuple[np.ndarray, float]:
-    n = np.linalg.norm(vec)
+    n = math.sqrt(vec @ vec)
     if not n > 1e-300:
         raise DegeneratePointError(f"zero {what}")
-    return vec / n, float(n)
+    return vec / n, n
 
 
 def _defect(M3, M1, sigma, u, v, w):
@@ -110,7 +111,8 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
     within a budget of tensor passes.
 
     A step at s = sigma + mu solves (Phi - s I) delta = -r by the shared
-    elimination of Phi's largest zero block and renormalizes each block of
+    elimination of Phi's largest zero block, taken once per kept point from
+    its blocks (M3, tm(:, v, :), M1), and renormalizes each block of
     x + delta; it needs the certificate to admit s. A refused shift or a
     rejected step sets mu to max(4 mu, 1e-3 sigma). A step is kept if sigma
     does not decrease (within mono_slack), whatever the residual does (far
@@ -124,18 +126,20 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
     if passes < 1:
         return None, 0  # no pass for Phi, which the certificate needs
     sigma, u, v, w, M3, M1, r = point
-    x, blocks = np.concatenate([u, v, w]), np.cumsum(tm.shape.dims[:2])
-    phi, used, steps, mu = _frozen_phi(M3, contract_one(tm, 2, v), M1), 1, 0, 0.0
+    i, j = tm.shape.n1, tm.shape.n1 + tm.shape.n2
+    x = np.concatenate([u, v, w])
+    elim, used, steps, mu = _elimination(M3, contract_one(tm, 2, v), M1), 1, 0, 0.0
     while True:
         if np.max(np.abs(r)) <= tol:
-            if _certified(phi, sigma, sigma, x):
+            if _certified(elim, sigma, sigma, x):
                 return (sigma, u, v, w, M3, M1, r), steps
             mu = mu or 1e-3 * sigma  # the certificate refused mu = 0
         if used + 3 > passes:
             return None, steps  # no room for a step and Phi at its point
-        if _certified(phi, sigma, sigma + mu, x):
-            step = x + _shifted_solve(phi, sigma + mu, -r)
-            u1, v1, w1 = (_normalize(f, "Newton step")[0] for f in np.split(step, blocks))
+        if _certified(elim, sigma, sigma + mu, x):
+            step = x + _shifted_solve(elim, sigma + mu, -r)
+            u1, v1, w1 = (_normalize(f, "Newton step")[0]
+                          for f in (step[:i], step[i:j], step[j:]))
             M3n, M1n = contract_one(tm, 3, w1), contract_one(tm, 1, u1)
             sigma1 = float(v1 @ (M1n @ w1))
             r1 = _defect(M3n, M1n, sigma1, u1, v1, w1)
@@ -143,7 +147,7 @@ def _newton_finish(tm, point, tol, passes, mono_slack):
             if sigma1 >= sigma - mono_slack * max(1.0, sigma):
                 sigma, u, v, w, M3, M1, r = sigma1, u1, v1, w1, M3n, M1n, r1
                 x = np.concatenate([u, v, w])
-                phi, used = _frozen_phi(M3, contract_one(tm, 2, v), M1), used + 1
+                elim, used = _elimination(M3, contract_one(tm, 2, v), M1), used + 1
                 mu = mu / 4.0 if mu >= 4e-6 * sigma else 0.0
                 continue
         mu = max(4.0 * mu, 1e-3 * sigma)  # a refused shift or a rejected step

@@ -387,5 +387,5 @@ def contract_one(t: Tensor3, mode: int, p) -> np.ndarray:
     if mode == 1:
         return (A.reshape(n1, n2 * n3).T @ p).reshape((n2, n3) + p.shape[1:])
     if mode == 2:
-        return np.moveaxis(A, 1, -1) @ p
+        return A.transpose(0, 2, 1) @ p
     return A @ p

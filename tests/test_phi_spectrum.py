@@ -238,7 +238,7 @@ class TestEigenSpectrum:
     def test_reduced_core_matches_dense(self, dims, eps, rank, seed):
         # Random blocks, with each mode as the largest and cube shapes. With
         # `rank` set, the blocks between the largest mode L and the rest are a
-        # rank-`rank` product, so C of split() is rank deficient at every
+        # rank-`rank` product, so C of _split is rank deficient at every
         # shape. Matrix-vector products are checked on a unit vector.
         sh = Shape3(*dims)
         N, n_L = sh.N, max(dims)

@@ -25,7 +25,7 @@ from punctured_tensor import (
     solve_critical_point,
 )
 from punctured_tensor import puncture, rank_one
-from punctured_tensor.phi_spectrum import _certified, _shifted_solve
+from punctured_tensor.phi_spectrum import _certified, _layout, _shifted_solve
 from punctured_tensor.experiments import ExperimentConfig, _draw, _signal
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
@@ -458,7 +458,8 @@ def _saddle():
     start = _sweeps(tm, sig, 3)
     sigma, u, v, w, M3, M1, r = start
     for _ in range(8):
-        x = np.concatenate([u, v, w]) + _shifted_solve(build_phi(tm, u, v, w), sigma, -r)
+        elim = build_phi(tm, u, v, w)._largest_split
+        x = np.concatenate([u, v, w]) + _shifted_solve(elim, sigma, -r)
         u, v, w = (f / np.linalg.norm(f) for f in _factors(tm, x))
         M3, M1 = contract_one(tm, 3, w), contract_one(tm, 1, u)
         sigma = float(v @ (M1 @ w))
@@ -468,11 +469,16 @@ def _saddle():
 
 class TestNewtonFinish:
     def test_step_matches_dense_solve(self):
-        # The step x + _shifted_solve(Phi, s, -r) from the solver's defect r
-        # eliminates Phi's largest block, here mode 1, 2 and 3 in turn and
-        # mode 1 of a cube; it equals x + delta for the dense solve of
-        # (Phi - s I) delta = -r, unshifted (s = sigma) and shifted.
-        for dims in ((11, 9, 7), (7, 11, 9), (7, 9, 11), (9, 9, 9)):
+        # The step x + _shifted_solve(elim, s, -r) from the solver's defect r
+        # eliminates Phi's largest block, here mode 1, 2 and 3 in turn, the
+        # first of two equal ones (mode 1 at 9x9x7, mode 2 at 7x9x9) and mode
+        # 1 of a cube; it equals x + delta for the dense solve of
+        # (Phi - s I) delta = -r, unshifted (s = sigma) and shifted. rest
+        # indexes the other two modes by a slice unless mode 2 is eliminated.
+        for dims, L in (((11, 9, 7), 1), ((7, 11, 9), 2), ((7, 9, 11), 3),
+                        ((9, 9, 7), 1), ((7, 9, 9), 2), ((9, 9, 9), 1)):
+            assert _layout(dims)[0] == L
+            assert isinstance(_layout(dims)[1], slice) == (L != 2)
             tm, _, _, sig = _masked_instance(Shape3(*dims), 2.0, 0.6, 3)
             sigma, u, v, w, _, _, r_solver = _sweeps(tm, sig, 3)
             x = np.concatenate([u, v, w])
@@ -482,7 +488,8 @@ class TestNewtonFinish:
             assert np.max(np.abs(r_solver - r)) <= 1e-14 * np.max(np.abs(phi))
             for s in (sigma, 1.001 * sigma, 1.3 * sigma):
                 want = x + np.linalg.solve(phi - s * np.eye(x.size), -r)
-                got = x + _shifted_solve(build_phi(tm, u, v, w), s, -r_solver)
+                elim = build_phi(tm, u, v, w)._largest_split
+                got = x + _shifted_solve(elim, s, -r_solver)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -492,10 +499,11 @@ class TestNewtonFinish:
         # at converged points and at sigma moved by +-10%, unshifted
         # (s = sigma) and shifted by +-10% of sigma. The seeds' shapes have
         # mode 1 (seeds 0, 2, 3), mode 2 (4, 5) or mode 3 (1) largest; each
-        # seed also runs on a cube of its largest size.
+        # seed also runs on a cube of its largest size and on two ties,
+        # 9x9x7 and 7x9x9, where mode 1 and mode 2 are eliminated.
         gen = np.random.default_rng(seed)
         drawn = tuple(int(n) for n in gen.integers(3, 15, size=3))
-        for dims in (drawn, (max(drawn),) * 3):
+        for dims in (drawn, (max(drawn),) * 3, (9, 9, 7), (7, 9, 9)):
             tm, _, _, _ = _masked_instance(Shape3(*dims), 1.0 + seed, 0.5, seed)
             cp = solve_critical_point(
                 tm, SolverConfig(max_iter=100_000, factors=_random_start(dims, seed))
@@ -509,7 +517,7 @@ class TestNewtonFinish:
                     C = s * np.eye(z.size) - P + 2.0 * sigma * np.outer(z, z)
                     lowest = float(np.min(np.linalg.eigvalsh(C)))
                     assert abs(lowest) > 1e-9 * sigma  # the sign is not a rounding
-                    assert _certified(phi, sigma, s, x) == (lowest > 0.0)
+                    assert _certified(phi._largest_split, sigma, s, x) == (lowest > 0.0)
 
     def test_certificate_refuses_a_saddle(self, monkeypatch):
         # From the planted start at 13x20x15, eps 0.2, beta 3, seed 20, three
@@ -527,8 +535,8 @@ class TestNewtonFinish:
 
         seen = []
 
-        def recorded(phi, sigma, s, x):
-            ok = _certified(phi, sigma, s, x)
+        def recorded(elim, sigma, s, x):
+            ok = _certified(elim, sigma, s, x)
             seen.append((CriticalPoint(sigma, *_factors(tm, x)), s == sigma, ok))
             return ok
 
@@ -564,19 +572,19 @@ class TestNewtonFinish:
 
     def test_kept_step_may_raise_the_residual(self, monkeypatch):
         # The certificate is asked at every point the finish keeps, with the
-        # Phi built at that point, so the points it sees under a new Phi are
-        # the kept ones. On the seed-21 crawl at least one kept step more
-        # than doubles the max-norm residual, and sigma never falls from one
-        # kept point to the next.
+        # elimination of Phi built at that point, so the points it sees under
+        # a new elimination are the kept ones. On the seed-21 crawl at least
+        # one kept step more than doubles the max-norm residual, and sigma
+        # never falls from one kept point to the next.
         (_, tm, cfg, _), = (c for c in TestPolishReusesContractions()._cases()
                             if c[0] == "crawl")
-        phis, kept = [], []
+        elims, kept = [], []
 
-        def recorded(phi, sigma, s, x):
-            if not phis or phis[-1] is not phi:
-                phis.append(phi)
+        def recorded(elim, sigma, s, x):
+            if not elims or elims[-1] is not elim:
+                elims.append(elim)
                 kept.append(CriticalPoint(sigma, *_factors(tm, x)))
-            return _certified(phi, sigma, s, x)
+            return _certified(elim, sigma, s, x)
 
         monkeypatch.setattr(rank_one, "_certified", recorded)
         cp = solve_critical_point(tm, cfg)
@@ -611,7 +619,7 @@ class TestNewtonFinish:
         # the upper side of the paper's bulk bound: every eigenvalue of Phi
         # but the one nearest 2 sigma is at most sigma.
         phi = build_phi(tm, cp.u, cp.v, cp.w)
-        assert _certified(phi, cp.sigma, cp.sigma, cp.stacked())
+        assert _certified(phi._largest_split, cp.sigma, cp.sigma, cp.stacked())
         vals = phi.eigenvalues
         bulk = np.delete(vals, np.argmin(np.abs(vals - 2.0 * cp.sigma)))
         assert np.max(bulk) <= cp.sigma * (1.0 + 1e-9)
