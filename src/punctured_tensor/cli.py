@@ -17,7 +17,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import experiments
-from .experiments import ExperimentConfig, ValidationFailure
+from .experiments import ExperimentConfig
 from .rank_one import ConvergenceError, DegeneratePointError
 from .rmt_theory import FixedPointError, OutsideSupportError
 from .tensor_core import Shape3

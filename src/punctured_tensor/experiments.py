@@ -47,10 +47,6 @@ from .tensor_core import (
 )
 
 
-class ValidationFailure(RuntimeError):
-    """One or more checks of the validation suite failed."""
-
-
 # Noise-entry step of the central finite differences in the derivative check.
 FD_STEP = 1e-5
 
@@ -92,9 +88,10 @@ class ExperimentConfig:
                 raise TypeError(f"{f.name} must be {kind}, got {value!r}")
         if self.init not in ("random", "planted"):
             raise ValueError(f"init must be 'random' or 'planted', got {self.init!r}")
-        for name in ("trials", "restarts", "max_iter", "scan_sweeps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        for name, least in (("trials", 1), ("restarts", 1), ("max_iter", 1),
+                            ("scan_sweeps", 1), ("bins", 1), ("grid_points", 2)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}")
         for name in ("eta", "tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

@@ -242,44 +242,23 @@ def build_phi(tm: Tensor3, u, v, w) -> PhiMatrix:
         contract_one(tm, 3, w), contract_one(tm, 2, v), contract_one(tm, 1, u))
 
 
-# The thread pool, built on first use. A forked child has none of its
-# threads, so it drops the pool and builds its own.
-_pool = []
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=lambda: _pool.clear())
-
-
-def _parallel_map(fn, items):
-    """An iterator of fn over items, in order, run on the thread pool (one
-    worker per usable CPU); a single item runs on the caller's thread. Only
-    build_phi0_streamed uses it, for its blocks of slabs. fn must call no
-    public function of the package: benchmark/tracing.py wraps those with
-    one span stack for all threads."""
-    items = list(items)
-    if len(items) <= 1:
-        return map(fn, items)
-    if not _pool:
-        from concurrent.futures import ThreadPoolExecutor
-
-        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
-        _pool.append(ThreadPoolExecutor(len(cpus) if cpus else os.cpu_count()))
-    return _pool[0].map(fn, items)
-
-
 def build_phi0_streamed(
     shape: Shape3, epsilon: float, u, v, w, rng: RngSeed
 ) -> PhiMatrix:
     """Phi of a pure-noise masked tensor, built slab by slab along mode 3.
 
     Never materializes the n1 x n2 x n3 array, so large-N spectra fit in
-    memory. Mode 3 is drawn in blocks of PHI0_BLOCK slabs on the thread
-    pool, block c from SeedSequence(rng.seed, spawn_key=(rng.stream, c)), and
-    the blocks' parts of b12 are added in block order, so Phi is bit-identical
-    whatever the number of workers. Each slab draws its Bernoulli(epsilon)
-    mask first (n1*n2 uniforms, C order) and then one standard normal for
-    each kept entry only, in C order, so about epsilon * n1*n2*n3 normals
-    are drawn in all. This is a different stream layout than generate_spiked + sample_mask;
-    the two are equal in distribution, not bit-for-bit.
+    memory. Mode 3 is drawn in blocks of PHI0_BLOCK slabs, block c from
+    SeedSequence(rng.seed, spawn_key=(rng.stream, c)), on a thread pool that
+    lives for this call only: one worker per block, at most one per usable
+    CPU. The blocks' parts of b12 are added in block order, so Phi is
+    bit-identical whatever the number of workers. A block calls no public
+    function of the package: benchmark/tracing.py wraps those with one span
+    stack for all threads. Each slab draws its Bernoulli(epsilon) mask first
+    (n1*n2 uniforms, C order) and then one standard normal for each kept
+    entry only, in C order, so about epsilon * n1*n2*n3 normals are drawn in
+    all. This is a different stream layout than generate_spiked +
+    sample_mask; the two are equal in distribution, not bit-for-bit.
     """
     u, v, w = check_factors(shape, (u, v, w))
     check_epsilon(epsilon)
@@ -303,10 +282,18 @@ def build_phi0_streamed(
             b23[:, k] = slab.T @ u
         return b12
 
-    parts = _parallel_map(block, range(-(-n3 // PHI0_BLOCK)))
-    b12 = next(parts)
-    for part in parts:
-        b12 += part
+    # Imported here: importing concurrent.futures costs every import of the
+    # package about 5 ms.
+    from concurrent.futures import ThreadPoolExecutor
+
+    blocks = range(-(-n3 // PHI0_BLOCK))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    workers = min(len(blocks), len(cpus) if cpus else os.cpu_count())
+    with ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(block, blocks)
+        b12 = next(parts)
+        for part in parts:
+            b12 += part
     return _frozen_phi(b12, b13, b23)
 
 

@@ -233,12 +233,14 @@ def scan_restarts(tm: Tensor3, inits, sweeps: int):
     the tensor (ValueError if an entry overflows it): the starts are stacked
     as the rows of R x n batches, and each sweep (_scan_sweep) streams the
     copy twice regardless of R. A lone start gets a zero row beside it (zero
-    rows stay zero): numpy would multiply a one-row batch by gemv, which
-    rounds differently from the gemm of a batch shared with other restarts.
-    The returned factors are float64, renormalized, and sigma is
-    tm(u, v, w) computed in float64 from them. The points are not
-    converged: solve_critical_point polishes the best one. A restart whose
-    contraction vanishes keeps zero factors and sigma 0.
+    rows stay zero), since numpy would multiply a one-row batch by gemv: so
+    padded, it rounds as in a batch of two or three. It need not round as in
+    a wider batch: at some shapes the float32 gemm rounds a start differently
+    once the batch has four or more rows (its sigma moved by 1.2e-8 at
+    20x30x40 with R = 5). The returned factors are float64, renormalized,
+    and sigma is tm(u, v, w) computed in float64 from them. The points are
+    not converged: solve_critical_point polishes the best one. A restart
+    whose contraction vanishes keeps zero factors and sigma 0.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be at least 1")

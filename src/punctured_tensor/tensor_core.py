@@ -157,12 +157,6 @@ class SignalTriple:
         vecs = [v / np.linalg.norm(v) for v in vecs]
         return cls(vecs[0], vecs[1], vecs[2], beta)
 
-    @classmethod
-    def constant(cls, shape: Shape3, beta: float) -> "SignalTriple":
-        """Deterministic normalized all-ones factors, for regression tests."""
-        vecs = [np.ones(n) / np.sqrt(n) for n in shape.dims]
-        return cls(vecs[0], vecs[1], vecs[2], beta)
-
     def check_shape(self, shape: Shape3):
         for name, n in zip(("x", "y", "z"), shape.dims):
             _check_vector(getattr(self, name), n, f"signal factor {name}")

@@ -465,9 +465,12 @@ class TestCli:
     @pytest.mark.parametrize("command", ["esd", "density"])
     def test_rejects_nonpositive_eta(self, command, tmp_path, capsys):
         base = [command, "--shape", "10,12,14", "--out", str(tmp_path)]
-        for flag in ("--eta=0", "--eta=-1e-6"):
+        for flag, error in (("--eta=0", "eta must be positive"),
+                            ("--eta=-1e-6", "eta must be positive"),
+                            ("--bins=0", "bins must be at least 1"),
+                            ("--grid-points=1", "grid_points must be at least 2")):
             assert main(base + [flag]) == 1
-            assert "eta must be positive" in capsys.readouterr().err
+            assert error in capsys.readouterr().err
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"eta": -0.001}))
         assert main(base + ["--config", str(cfg_path)]) == 1

@@ -1,5 +1,7 @@
 import multiprocessing
+import os
 import sys
+import threading
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +24,7 @@ from punctured_tensor import (
     puncture,
     sample_mask,
 )
-from punctured_tensor import phi_spectrum, rank_one
+from punctured_tensor import rank_one
 from punctured_tensor.experiments import ExperimentConfig, run_epsilon_sweep
 from punctured_tensor.tensor_core import (
     DimensionMismatchError,
@@ -62,7 +64,7 @@ class TestGenerateSpiked:
         # beta=0 entries are N(0, 1/6); pooled over many seeds the sample
         # variance should sit within 2% of 1/6.
         sh = Shape3(2, 2, 2)
-        sig = SignalTriple.constant(sh, 0.0)
+        sig = SignalTriple(*(np.ones(n) / np.sqrt(n) for n in sh.dims), 0.0)
         samples = np.concatenate(
             [
                 generate_spiked(sh, sig, RngSeed(77, s)).values.ravel()
@@ -337,39 +339,55 @@ def _phi0_bytes(dims, epsilon, seed):
     return phi.b12.tobytes() + phi.b13.tobytes() + phi.b23.tobytes()
 
 
+def _executors(monkeypatch, cpus=None):
+    """The worker counts of the thread pools made from now on; with cpus, the
+    CPU-affinity query reports that many usable CPUs."""
+    made = []
+
+    class Counted(ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Counted)
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    return made
+
+
 class TestThreadPool:
     def test_outputs_do_not_depend_on_worker_count(self, monkeypatch):
         # 200 mode-3 slabs make four Phi0 blocks, the last short, which run
-        # on the pool. Workers write disjoint parts of shared arrays; with 3
-        # workers and a short switch interval, a lost or misplaced write
-        # would change the bytes. The 240 000 uniforms of the mask and the
-        # trial draw make four chunks, drawn on the caller's thread, and
-        # must not change either.
+        # on a pool of one worker per usable CPU. Workers write disjoint
+        # parts of shared arrays; with 3 workers and a short switch interval,
+        # a lost or misplaced write would change the bytes. The 240 000
+        # uniforms of the mask and the trial draw make four chunks, drawn on
+        # the caller's thread, and must not change either.
         shape = Shape3(20, 40, 300)
         signal = SignalTriple.random(shape, 2.0, RngSeed(1))
         outputs = []
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            for workers in (1, 3):
-                with ThreadPoolExecutor(workers) as pool:
-                    monkeypatch.setattr(phi_spectrum, "_pool", [pool])
-                    gen = RngSeed(3, 1).generator()
-                    draw = draw_trial(shape, signal, (0.2, 0.7), gen)
-                    outputs.append([
-                        sample_mask(shape, 0.3, RngSeed(2)).bits.tobytes(),
-                        draw.values.tobytes(), draw.rank.tobytes(),
-                        gen.standard_normal(5).tobytes(),
-                        _phi0_bytes((6, 7, 200), 0.4, 3),
-                    ])
+            for cpus in (1, 3):
+                made = _executors(monkeypatch, cpus)
+                gen = RngSeed(3, 1).generator()
+                draw = draw_trial(shape, signal, (0.2, 0.7), gen)
+                outputs.append([
+                    sample_mask(shape, 0.3, RngSeed(2)).bits.tobytes(),
+                    draw.values.tobytes(), draw.rank.tobytes(),
+                    gen.standard_normal(5).tobytes(),
+                    _phi0_bytes((6, 7, 200), 0.4, 3),
+                ])
+                assert made == [cpus]
         finally:
             sys.setswitchinterval(interval)
         assert outputs[0] == outputs[1]
 
     def test_forked_child_builds_the_same_phi0(self):
-        # The parent's pool has run Phi0's four blocks of slabs; a forked
-        # child has none of its worker threads and must build its own pool
-        # instead of waiting on them.
+        # The parent has run Phi0's four blocks of slabs on a pool of its
+        # own; a forked child builds the same Phi0 on a pool of its own.
         args = ((6, 7, 200), 0.4, 3)
         want = _phi0_bytes(*args)
         with multiprocessing.get_context("fork").Pool(1) as pool:
@@ -377,14 +395,23 @@ class TestThreadPool:
 
     def test_trial_path_never_starts_the_pool(self, monkeypatch, tmp_path):
         # 84 000 entries draw their uniforms in two chunks; a sweep's trial
-        # leaves the pool unbuilt. Phi0 of four blocks then builds it.
-        monkeypatch.setattr(phi_spectrum, "_pool", [])
+        # makes no thread pool. Phi0 of four blocks then makes one.
+        made = _executors(monkeypatch)
         run_epsilon_sweep(ExperimentConfig(
             shape=Shape3(30, 40, 70), epsilon_grid=(0.6,), trials=1, out=tmp_path))
-        assert phi_spectrum._pool == []
+        assert made == []
         _phi0_bytes((6, 7, 200), 0.4, 3)
-        assert len(phi_spectrum._pool) == 1
-        phi_spectrum._pool[0].shutdown()
+        assert len(made) == 1
+
+    def test_no_worker_thread_outlives_phi0(self, monkeypatch):
+        # Phi0's pool lives for its one call: once build_phi0_streamed
+        # returns, none of its three workers is left running.
+        made = _executors(monkeypatch, 3)
+        _phi0_bytes((6, 7, 200), 0.4, 3)
+        alive = [t.name for t in threading.enumerate()
+                 if t.name.startswith("ThreadPoolExecutor")]
+        assert alive == []
+        assert made == [3]
 
 
 class TestHadamard:
